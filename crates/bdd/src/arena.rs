@@ -28,7 +28,6 @@ pub(crate) struct Arena {
     free: Vec<u32>,
     live: usize,
     peak: usize,
-    allocs: u64,
 }
 
 impl Arena {
@@ -44,7 +43,6 @@ impl Arena {
             free: Vec::new(),
             live: 1,
             peak: 1,
-            allocs: 0,
         }
     }
 
@@ -62,18 +60,10 @@ impl Arena {
             }
         };
         self.live += 1;
-        self.allocs += 1;
         if self.live > self.peak {
             self.peak = self.live;
         }
         idx
-    }
-
-    /// Total allocations ever (monotonic; lets callers detect whether an
-    /// operation created a node).
-    #[inline]
-    pub fn allocs(&self) -> u64 {
-        self.allocs
     }
 
     /// Returns a node's slot to the free list.
@@ -96,12 +86,6 @@ impl Arena {
     #[inline(always)]
     pub fn var(&self, idx: u32) -> u32 {
         self.nodes[idx as usize].var
-    }
-
-    /// Rewrites a node in place (used by the reordering swap, which must
-    /// preserve node identity so outstanding handles stay valid).
-    pub fn rewrite(&mut self, idx: u32, var: u32, lo: u32, hi: u32) {
-        self.nodes[idx as usize] = Node { var, lo, hi };
     }
 
     #[cfg(test)]

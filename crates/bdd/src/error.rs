@@ -22,7 +22,7 @@ pub enum BddError {
     DeadlineExceeded,
     /// The manager's cooperative interrupt flag was set mid-computation.
     Cancelled,
-    /// An event hook vetoed a garbage collection or reorder pass. Emitted
+    /// An event hook vetoed a garbage collection pass. Emitted
     /// only through hooks installed with `set_event_hook`; the
     /// fault-injection harness uses it to abort at deterministic points.
     Aborted,

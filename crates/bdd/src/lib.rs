@@ -19,17 +19,15 @@
 //! * mark-and-sweep garbage collection over an explicit root set
 //!   ([`BddManager::gc`], [`BddManager::maybe_gc`]) — surviving handles
 //!   keep their indices,
-//! * dynamic variable reordering by sifting ([`BddManager::reorder`],
-//!   [`BddManager::maybe_reorder`]) that rewrites nodes in place so
-//!   handles keep denoting the same functions,
 //! * a configurable node limit so domain computations stay
 //!   resource-bounded ([`BddError::NodeLimit`]), plus deadlines, a
 //!   cooperative interrupt, and a pre-event hook ([`BddEvent`]) used by
 //!   the fault-injection harness.
 //!
-//! Variables enter the order at allocation time; callers allocate them in
-//! the order they want them in the diagram (syseco uses `c < t < y < z`),
-//! and sifting may later permute levels without changing any semantics.
+//! The variable order is fixed: variable index is diagram level, so
+//! callers allocate variables in the order they want them in the diagram
+//! (syseco uses `c < t < y < z`). Symbolic sampling keeps the diagrams
+//! small enough that dynamic reordering would never pay for itself.
 //!
 //! # Example
 //!
@@ -53,7 +51,6 @@ mod cubes;
 mod error;
 mod manager;
 mod opcache;
-mod reorder;
 mod unique;
 
 pub use cubes::Cube;

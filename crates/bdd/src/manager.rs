@@ -20,9 +20,7 @@
 //!   unreachable from the caller-supplied roots and the
 //!   [`protect`](BddManager::protect)ed set; node indices of survivors
 //!   never move, so live handles stay valid.
-//! * Dynamic variable reordering by sifting lives in
-//!   [`reorder`](BddManager::reorder); it rewrites nodes in place, so
-//!   every outstanding handle keeps denoting the same function.
+//! * The variable order is fixed: a node's variable index is its level.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -50,8 +48,6 @@ pub struct Bdd(pub(crate) u32);
 /// constant false is its complement edge.
 const E_TRUE: u32 = 0;
 const E_FALSE: u32 = 1;
-/// Level value reported for terminals: below every variable.
-const TERMINAL_LEVEL: u32 = u32::MAX;
 
 const OP_AND: u32 = 0;
 const OP_XOR: u32 = 1;
@@ -68,8 +64,6 @@ const OP_XOR: u32 = 1;
 pub enum BddEvent {
     /// A mark-and-sweep garbage collection is about to run.
     Gc,
-    /// A sifting-based variable reordering is about to run.
-    Reorder,
 }
 
 /// Observer callback installed by [`BddManager::set_event_hook`].
@@ -93,12 +87,6 @@ pub struct BddCounters {
     pub ite_hits: u64,
     /// ITE-cache misses.
     pub ite_misses: u64,
-    /// NOT-cache hits. Always zero since the complement-edge rewrite —
-    /// negation is a tag flip and no longer touches any cache. The field
-    /// is retained so counter snapshots keep their shape.
-    pub not_hits: u64,
-    /// NOT-cache misses. Always zero (see [`not_hits`](Self::not_hits)).
-    pub not_misses: u64,
     /// Quantification-cache hits.
     pub quant_hits: u64,
     /// Quantification-cache misses.
@@ -113,21 +101,17 @@ pub struct BddCounters {
     pub gc_runs: u64,
     /// Nodes reclaimed by garbage collection.
     pub gc_freed_nodes: u64,
-    /// Sifting reorder passes run.
-    pub reorders: u64,
-    /// Adjacent-level swaps performed across all reorder passes.
-    pub reorder_swaps: u64,
 }
 
 impl BddCounters {
     /// Total cache hits across every operation cache.
     pub fn total_hits(&self) -> u64 {
-        self.apply_hits + self.ite_hits + self.not_hits + self.quant_hits
+        self.apply_hits + self.ite_hits + self.quant_hits
     }
 
     /// Total cache misses across every operation cache.
     pub fn total_misses(&self) -> u64 {
-        self.apply_misses + self.ite_misses + self.not_misses + self.quant_misses
+        self.apply_misses + self.ite_misses + self.quant_misses
     }
 }
 
@@ -137,16 +121,12 @@ impl std::ops::AddAssign for BddCounters {
         self.apply_misses += rhs.apply_misses;
         self.ite_hits += rhs.ite_hits;
         self.ite_misses += rhs.ite_misses;
-        self.not_hits += rhs.not_hits;
-        self.not_misses += rhs.not_misses;
         self.quant_hits += rhs.quant_hits;
         self.quant_misses += rhs.quant_misses;
         self.unique_resizes += rhs.unique_resizes;
         self.evictions += rhs.evictions;
         self.gc_runs += rhs.gc_runs;
         self.gc_freed_nodes += rhs.gc_freed_nodes;
-        self.reorders += rhs.reorders;
-        self.reorder_swaps += rhs.reorder_swaps;
     }
 }
 
@@ -157,8 +137,6 @@ pub struct OpCacheSizes {
     pub apply: usize,
     /// ITE-cache entries.
     pub ite: usize,
-    /// NOT-cache entries. Always zero since the complement-edge rewrite.
-    pub not: usize,
     /// Quantification-cache entries.
     pub quant: usize,
 }
@@ -166,13 +144,13 @@ pub struct OpCacheSizes {
 impl OpCacheSizes {
     /// Total entries across every operation cache.
     pub fn total(&self) -> usize {
-        self.apply + self.ite + self.not + self.quant
+        self.apply + self.ite + self.quant
     }
 }
 
 /// An ROBDD manager: arena node store, open-addressed unique table,
-/// generational operation caches, optional garbage collection and
-/// variable reordering, and a node budget.
+/// generational operation caches, optional garbage collection, and a
+/// node budget.
 ///
 /// See the [crate-level documentation](crate) for an overview and example.
 pub struct BddManager {
@@ -182,8 +160,6 @@ pub struct BddManager {
     ite_cache: DirectCache,
     quant_cache: DirectCache,
     num_vars: u32,
-    var2level: Vec<u32>,
-    level2var: Vec<u32>,
     node_limit: usize,
     deadline: Option<Instant>,
     interrupt: Option<Arc<AtomicBool>>,
@@ -193,8 +169,6 @@ pub struct BddManager {
     protected: HashMap<u32, u32>,
     gc_threshold: Option<usize>,
     gc_initial_threshold: usize,
-    pub(crate) reorder_threshold: Option<usize>,
-    pub(crate) reorder_initial_threshold: usize,
     hook: Option<EventHook>,
 }
 
@@ -205,7 +179,6 @@ impl std::fmt::Debug for BddManager {
             .field("num_vars", &self.num_vars)
             .field("node_limit", &self.node_limit)
             .field("gc_threshold", &self.gc_threshold)
-            .field("reorder_threshold", &self.reorder_threshold)
             .finish_non_exhaustive()
     }
 }
@@ -240,8 +213,6 @@ impl BddManager {
             ite_cache: DirectCache::new(1 << 10, 1 << 20),
             quant_cache: DirectCache::new(1 << 10, 1 << 21),
             num_vars: 0,
-            var2level: Vec::new(),
-            level2var: Vec::new(),
             node_limit,
             deadline: None,
             interrupt: None,
@@ -251,8 +222,6 @@ impl BddManager {
             protected: HashMap::new(),
             gc_threshold: None,
             gc_initial_threshold: 0,
-            reorder_threshold: None,
-            reorder_initial_threshold: 0,
             hook: None,
         }
     }
@@ -285,20 +254,11 @@ impl BddManager {
         if index >= self.num_vars {
             self.num_vars = index + 1;
         }
-        while (self.var2level.len() as u32) < self.num_vars {
-            // New variables enter at the bottom level, which preserves the
-            // relative order of everything already placed (identity order
-            // until the first reorder).
-            let level = self.var2level.len() as u32;
-            self.var2level.push(level);
-            self.level2var.push(level);
-        }
     }
 
     /// Returns the function of variable `index`, allocating variables up to
-    /// and including it. Until the first [`reorder`](BddManager::reorder),
-    /// variable index doubles as diagram level: lower indices are nearer
-    /// the root.
+    /// and including it. The variable index is the diagram level: lower
+    /// indices are nearer the root.
     pub fn var(&mut self, index: u32) -> Bdd {
         self.ensure_var(index);
         Bdd(self.mk(index, E_FALSE, E_TRUE))
@@ -311,8 +271,8 @@ impl BddManager {
     }
 
     /// Find-or-create for `(var, lo, hi)` edges, normalizing to the
-    /// canonical hi-regular form.
-    pub(crate) fn mk(&mut self, var: u32, lo: u32, hi: u32) -> u32 {
+    /// canonical hi-regular form. `var` is also the node's level.
+    fn mk(&mut self, var: u32, lo: u32, hi: u32) -> u32 {
         if lo == hi {
             return lo;
         }
@@ -347,15 +307,15 @@ impl BddManager {
         self.interrupt = interrupt;
     }
 
-    /// Installs an observer for garbage-collection and reordering events;
-    /// `None` removes it. The hook runs *before* the event's work; an
+    /// Installs an observer for garbage-collection events; `None` removes
+    /// it. The hook runs *before* the event's work; an
     /// error return aborts the event and propagates to the caller. Used by
     /// the fault-injection harness.
     pub fn set_event_hook(&mut self, hook: Option<EventHook>) {
         self.hook = hook;
     }
 
-    pub(crate) fn fire_event(&mut self, event: BddEvent) -> Result<(), BddError> {
+    fn fire_event(&mut self, event: BddEvent) -> Result<(), BddError> {
         if let Some(h) = self.hook.as_mut() {
             h(event)?;
         }
@@ -390,23 +350,19 @@ impl BddManager {
         Ok(())
     }
 
-    /// Diagram level of an edge (terminals sit below every variable).
+    /// Diagram level of an edge: its node's variable. The terminal's
+    /// variable tag (`u32::MAX`) sorts below every variable.
     #[inline(always)]
-    pub(crate) fn level_of(&self, edge: u32) -> u32 {
-        let v = self.arena.var(edge >> 1);
-        if v == TERMINAL_VAR {
-            TERMINAL_LEVEL
-        } else {
-            self.var2level[v as usize]
-        }
+    fn level_of(&self, edge: u32) -> u32 {
+        self.arena.var(edge >> 1)
     }
 
     /// Cofactors of `edge` at `level`, complement bit pushed into the
     /// children.
     #[inline(always)]
-    pub(crate) fn cofactors_at(&self, edge: u32, level: u32) -> (u32, u32) {
+    fn cofactors_at(&self, edge: u32, level: u32) -> (u32, u32) {
         let n = self.arena.node(edge >> 1);
-        if n.var != TERMINAL_VAR && self.var2level[n.var as usize] == level {
+        if n.var == level {
             let c = edge & 1;
             (n.lo ^ c, n.hi ^ c)
         } else {
@@ -536,7 +492,7 @@ impl BddManager {
         let (g0, g1) = self.cofactors_at(g, level);
         let lo = self.and_rec(f0, g0)?;
         let hi = self.and_rec(f1, g1)?;
-        let r = self.mk(self.level2var[level as usize], lo, hi);
+        let r = self.mk(level, lo, hi);
         self.counters.evictions += self.apply_cache.insert(f, g, OP_AND, r);
         Ok(r)
     }
@@ -567,7 +523,7 @@ impl BddManager {
         let (g0, g1) = self.cofactors_at(g, level);
         let lo = self.xor_rec(f0, g0)?;
         let hi = self.xor_rec(f1, g1)?;
-        let r = self.mk(self.level2var[level as usize], lo, hi);
+        let r = self.mk(level, lo, hi);
         self.counters.evictions += self.apply_cache.insert(f, g, OP_XOR, r);
         Ok(r ^ sign)
     }
@@ -610,7 +566,7 @@ impl BddManager {
         let (e0, e1) = self.cofactors_at(e, level);
         let lo = self.ite_rec(i0, t0, e0)?;
         let hi = self.ite_rec(i1, t1, e1)?;
-        let r = self.mk(self.level2var[level as usize], lo, hi);
+        let r = self.mk(level, lo, hi);
         self.counters.evictions += self.ite_cache.insert(i, t, e, r);
         Ok(r ^ sign)
     }
@@ -625,7 +581,7 @@ impl BddManager {
     ///
     /// [`BddError::NodeLimit`] when the node budget is exhausted.
     pub fn restrict(&mut self, f: Bdd, var: u32, value: bool) -> Result<Bdd, BddError> {
-        if (var as usize) >= self.var2level.len() {
+        if var >= self.num_vars {
             return Ok(f);
         }
         Ok(Bdd(self.restrict_rec(f.0, var, value)?))
@@ -633,14 +589,13 @@ impl BddManager {
 
     fn restrict_rec(&mut self, f: u32, var: u32, value: bool) -> Result<u32, BddError> {
         let flevel = self.level_of(f);
-        let target = self.var2level[var as usize];
-        if flevel > target {
+        if flevel > var {
             return Ok(f);
         }
         self.check_budget()?;
         let c = f & 1;
         let n = self.arena.node(f >> 1);
-        if flevel == target {
+        if flevel == var {
             return Ok(if value { n.hi ^ c } else { n.lo ^ c });
         }
         let lo = self.restrict_rec(n.lo ^ c, var, value)?;
@@ -657,11 +612,7 @@ impl BddManager {
         let mut sorted = vars.to_vec();
         sorted.sort_unstable();
         sorted.dedup();
-        for &v in &sorted {
-            self.ensure_var(v);
-        }
         // Build bottom-up in diagram order so each AND is a single mk.
-        sorted.sort_unstable_by_key(|&v| self.var2level[v as usize]);
         let mut cube = self.one();
         for &v in sorted.iter().rev() {
             let lit = self.var(v);
@@ -833,15 +784,6 @@ impl BddManager {
         self.gc_initial_threshold = threshold.unwrap_or(0);
     }
 
-    /// Enables automatic reordering through
-    /// [`maybe_reorder`](BddManager::maybe_reorder) once the live node
-    /// count exceeds `threshold`; `None` disables it (the default). After
-    /// each pass the threshold adapts to `max(threshold, 4 × live)`.
-    pub fn set_reorder_threshold(&mut self, threshold: Option<usize>) {
-        self.reorder_threshold = threshold;
-        self.reorder_initial_threshold = threshold.unwrap_or(0);
-    }
-
     /// Runs mark-and-sweep garbage collection now and returns the number
     /// of nodes freed. Live are: the terminal, everything reachable from
     /// `roots`, and everything reachable from the
@@ -876,19 +818,6 @@ impl BddManager {
     }
 
     fn collect(&mut self, roots: &[Bdd]) -> usize {
-        let freed = self.sweep(roots);
-        self.counters.gc_runs += 1;
-        self.counters.gc_freed_nodes += freed as u64;
-        if self.gc_threshold.is_some() {
-            self.gc_threshold = Some((self.arena.live() * 2).max(self.gc_initial_threshold));
-        }
-        freed
-    }
-
-    /// Mark-and-sweep without counter or threshold side effects; shared
-    /// between [`gc`](BddManager::gc) and the pre-sift cleanup in
-    /// [`reorder`](BddManager::reorder).
-    pub(crate) fn sweep(&mut self, roots: &[Bdd]) -> usize {
         let mut marked = vec![false; self.arena.capacity()];
         marked[0] = true;
         let mut stack: Vec<u32> = roots.iter().map(|f| f.0 >> 1).collect();
@@ -915,6 +844,11 @@ impl BddManager {
         // Cached results may reference freed nodes; drop every generation.
         self.counters.evictions +=
             self.apply_cache.clear() + self.ite_cache.clear() + self.quant_cache.clear();
+        self.counters.gc_runs += 1;
+        self.counters.gc_freed_nodes += freed as u64;
+        if self.gc_threshold.is_some() {
+            self.gc_threshold = Some((self.arena.live() * 2).max(self.gc_initial_threshold));
+        }
         freed
     }
 
@@ -954,7 +888,6 @@ impl BddManager {
         OpCacheSizes {
             apply: self.apply_cache.len(),
             ite: self.ite_cache.len(),
-            not: 0,
             quant: self.quant_cache.len(),
         }
     }
@@ -968,12 +901,6 @@ impl BddManager {
             levels[self.arena.var(idx) as usize] += 1;
         }
         levels
-    }
-
-    /// The current variable order, top level first. Identity until the
-    /// first [`reorder`](BddManager::reorder).
-    pub fn current_order(&self) -> Vec<u32> {
-        self.level2var.clone()
     }
 
     /// Functional composition `f[var := g]`.
@@ -1050,36 +977,6 @@ impl BddManager {
         out.push_str("}\n");
         out
     }
-
-    // Internal accessors shared with the reorder module.
-    pub(crate) fn arena(&self) -> &Arena {
-        &self.arena
-    }
-    pub(crate) fn split_for_swap(
-        &mut self,
-    ) -> (&mut Arena, &mut UniqueTable, &mut Vec<u32>, &mut Vec<u32>) {
-        (
-            &mut self.arena,
-            &mut self.unique,
-            &mut self.var2level,
-            &mut self.level2var,
-        )
-    }
-    pub(crate) fn bump_reorder_counters(&mut self, swaps: u64) {
-        self.counters.reorders += 1;
-        self.counters.reorder_swaps += swaps;
-    }
-    pub(crate) fn var_level(&self, var: u32) -> u32 {
-        self.var2level[var as usize]
-    }
-    pub(crate) fn var_at_level(&self, level: usize) -> u32 {
-        self.level2var[level]
-    }
-    pub(crate) fn protected_roots(&self) -> Vec<u32> {
-        let mut roots: Vec<u32> = self.protected.keys().copied().collect();
-        roots.sort_unstable();
-        roots
-    }
 }
 
 // The rectification scheduler moves a manager into each worker thread, so
@@ -1120,8 +1017,7 @@ mod tests {
         let n = m.not(first).unwrap();
         assert_eq!(m.not(first).unwrap(), n);
         assert_eq!(m.num_nodes(), nodes_before);
-        assert_eq!(m.counters().not_hits, 0);
-        assert_eq!(m.counters().not_misses, 0);
+        assert_eq!(m.counters(), after);
 
         m.reset_counters();
         assert_eq!(m.counters(), BddCounters::default());
@@ -1169,10 +1065,7 @@ mod tests {
         let _ = m.xor(a, b).unwrap();
         let sizes = m.op_cache_sizes();
         assert!(sizes.apply > 0, "xor populates the apply cache");
-        assert_eq!(
-            sizes.total(),
-            sizes.apply + sizes.ite + sizes.not + sizes.quant
-        );
+        assert_eq!(sizes.total(), sizes.apply + sizes.ite + sizes.quant);
         let expected = sizes.total() as u64;
         m.clear_caches();
         assert_eq!(m.counters().evictions, expected);
@@ -1235,8 +1128,6 @@ mod tests {
             quant_misses: 3,
             gc_runs: 2,
             gc_freed_nodes: 7,
-            reorders: 1,
-            reorder_swaps: 5,
             ..BddCounters::default()
         };
         assert_eq!(total.apply_hits, 11);
@@ -1244,8 +1135,6 @@ mod tests {
         assert_eq!(total.quant_misses, 3);
         assert_eq!(total.gc_runs, 2);
         assert_eq!(total.gc_freed_nodes, 7);
-        assert_eq!(total.reorders, 1);
-        assert_eq!(total.reorder_swaps, 5);
         assert_eq!(total.total_hits(), 11);
         assert_eq!(total.total_misses(), 5);
     }

@@ -14,7 +14,7 @@
 //! nodes (complement pairs share every node, so a function and its
 //! complement can never both sit in the unique table) — and repeats the
 //! whole exercise under garbage-collection pressure (tiny node budget,
-//! collection firing mid-build) and across sifting reorders.
+//! collection firing mid-build).
 
 use eco_bdd::{Bdd, BddManager};
 use proptest::prelude::*;
@@ -93,20 +93,20 @@ impl Expr {
         }
     }
 
-    /// Build with garbage collection (and optionally reordering) allowed
-    /// to fire after every connective. Intermediate operands are pinned
+    /// Build with garbage collection allowed to fire after every
+    /// connective. Intermediate operands are pinned
     /// through the protect set so a collection mid-build is always safe.
-    fn build_under_pressure(&self, m: &mut BddManager, reorder: bool) -> Bdd {
+    fn build_under_pressure(&self, m: &mut BddManager) -> Bdd {
         let r = match self {
             Expr::Var(v) => m.var(*v),
             Expr::Not(a) => {
-                let x = a.build_under_pressure(m, reorder);
+                let x = a.build_under_pressure(m);
                 m.not(x).unwrap()
             }
             Expr::And(a, b) | Expr::Or(a, b) | Expr::Xor(a, b) => {
-                let x = a.build_under_pressure(m, reorder);
+                let x = a.build_under_pressure(m);
                 m.protect(x);
-                let y = b.build_under_pressure(m, reorder);
+                let y = b.build_under_pressure(m);
                 m.protect(y);
                 let r = match self {
                     Expr::And(..) => m.and(x, y).unwrap(),
@@ -118,11 +118,11 @@ impl Expr {
                 r
             }
             Expr::Ite(i, t, e) => {
-                let x = i.build_under_pressure(m, reorder);
+                let x = i.build_under_pressure(m);
                 m.protect(x);
-                let y = t.build_under_pressure(m, reorder);
+                let y = t.build_under_pressure(m);
                 m.protect(y);
-                let z = e.build_under_pressure(m, reorder);
+                let z = e.build_under_pressure(m);
                 m.protect(z);
                 let r = m.ite(x, y, z).unwrap();
                 m.unprotect(x);
@@ -133,9 +133,6 @@ impl Expr {
         };
         m.protect(r);
         m.maybe_gc(&[]).unwrap();
-        if reorder {
-            m.maybe_reorder(&[]).unwrap();
-        }
         m.unprotect(r);
         r
     }
@@ -258,38 +255,17 @@ proptest! {
     fn differential_under_gc_pressure(e in expr_strategy()) {
         let mut m = BddManager::new();
         m.set_gc_threshold(Some(48));
-        let f = e.build_under_pressure(&mut m, false);
+        let f = e.build_under_pressure(&mut m);
         let truth = e.truth();
         check_eval_and_count(&m, f, &truth);
         check_cubes(&m, f, &truth);
         // Canonicity after collection: rebuilding with `f` pinned must
         // still find the identical handle.
         m.protect(f);
-        let g = e.build_under_pressure(&mut m, false);
+        let g = e.build_under_pressure(&mut m);
         prop_assert_eq!(g, f, "gc broke canonical handle identity");
         m.unprotect(f);
         prop_assert_eq!(m.unique_table_len(), m.num_nodes() - 1);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// GC and sifting both enabled mid-build, then a forced final reorder:
-    /// handles must keep denoting the same functions throughout.
-    #[test]
-    fn differential_with_gc_and_sifting(e in expr_strategy()) {
-        let mut m = BddManager::new();
-        m.set_gc_threshold(Some(64));
-        m.set_reorder_threshold(Some(96));
-        let f = e.build_under_pressure(&mut m, true);
-        let truth = e.truth();
-        check_eval_and_count(&m, f, &truth);
-        m.reorder(&[f]).unwrap();
-        check_eval_and_count(&m, f, &truth);
-        check_cubes(&m, f, &truth);
-        prop_assert_eq!(m.unique_table_len(), m.num_nodes() - 1);
-        prop_assert!(m.counters().reorders >= 1);
     }
 }
 
@@ -316,32 +292,4 @@ fn gc_pressure_fires_mid_build() {
         let assign: Vec<bool> = (0..NUM_VARS).map(|i| (j >> i) & 1 == 1).collect();
         assert_eq!(m.eval(f, &assign), (j.count_ones() & 1) == 1);
     }
-}
-
-/// Deterministic companion for sifting: nodes_per_level totals must track
-/// live counts across reorders, and peak accounting never understates.
-#[test]
-fn reorder_accounting_reconciles() {
-    let mut m = BddManager::new();
-    let mut f = m.zero();
-    for i in 0..6 {
-        let a = m.var(i);
-        let b = m.var(6 + i);
-        let t = m.and(a, b).unwrap();
-        f = m.or(f, t).unwrap();
-    }
-    let peak_before = m.peak_num_nodes();
-    m.reorder(&[f]).unwrap();
-    let per_level = m.nodes_per_level();
-    assert_eq!(per_level.iter().sum::<usize>(), m.num_nodes() - 1);
-    assert!(m.peak_num_nodes() >= m.num_nodes());
-    assert!(m.peak_num_nodes() >= peak_before);
-    let order = m.current_order();
-    let mut sorted = order.clone();
-    sorted.sort_unstable();
-    assert_eq!(
-        sorted,
-        (0..12).collect::<Vec<u32>>(),
-        "order is a permutation"
-    );
 }

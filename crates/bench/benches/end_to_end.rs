@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use eco_workload::{build_case, table1_params};
 use syseco::baseline::{cone, deltasyn};
-use syseco::{EcoOptions, Syseco};
+use syseco::{EcoOptions, Session};
 
 fn bench_engines(c: &mut Criterion) {
     // Case 5: the smallest suite member, fits Criterion's sampling budget.
@@ -21,8 +21,8 @@ fn bench_engines(c: &mut Criterion) {
         })
     });
     group.bench_function("syseco", |b| {
-        let engine = Syseco::new(EcoOptions::default());
-        b.iter(|| std::hint::black_box(engine.rectify(&case.implementation, &case.spec).unwrap()))
+        let engine = Session::new(EcoOptions::default());
+        b.iter(|| std::hint::black_box(engine.run(&case.implementation, &case.spec).unwrap()))
     });
     group.finish();
 }
@@ -35,10 +35,8 @@ fn bench_sampling_sizes(c: &mut Criterion) {
     for n in [16usize, 64, 256] {
         group.bench_function(format!("N={n}"), |b| {
             let options = EcoOptions::builder().num_samples(n).build();
-            let engine = Syseco::new(options);
-            b.iter(|| {
-                std::hint::black_box(engine.rectify(&case.implementation, &case.spec).unwrap())
-            })
+            let engine = Session::new(options);
+            b.iter(|| std::hint::black_box(engine.run(&case.implementation, &case.spec).unwrap()))
         });
     }
     group.finish();

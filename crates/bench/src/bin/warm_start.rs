@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 
 use eco_netlist::write_blif;
 use eco_workload::EcoCase;
-use syseco::{CacheMode, EcoOptions, EcoResult, Syseco};
+use syseco::{CacheMode, EcoOptions, EcoResult, Session};
 
 const RUNS: usize = 3;
 const SEED: u64 = 17;
@@ -35,8 +35,8 @@ fn rectify(case: &EcoCase, dir: Option<&Path>, mode: CacheMode) -> EcoResult {
     if let Some(dir) = dir {
         builder = builder.cache_dir(dir).cache_mode(mode);
     }
-    Syseco::new(builder.build())
-        .rectify(&case.implementation, &case.spec)
+    Session::new(builder.build())
+        .run(&case.implementation, &case.spec)
         .expect("rectification failed")
 }
 

@@ -93,7 +93,7 @@ pub fn structural_match(implementation: &Circuit, spec: &Circuit) -> HashMap<Net
 ///
 /// # Errors
 ///
-/// Same conditions as [`Syseco::rectify`](crate::Syseco::rectify).
+/// Same conditions as [`Session::run`](crate::Session::run).
 pub fn rectify(implementation: &Circuit, spec: &Circuit) -> Result<EcoResult, EcoError> {
     let start = Instant::now();
     implementation.check_well_formed()?;

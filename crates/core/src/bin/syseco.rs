@@ -170,6 +170,17 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             };
             let implementation = load(impl_path)?;
             let spec = load(spec_path)?;
+            fn port_names(c: &Circuit) -> Vec<&str> {
+                let mut names: Vec<&str> = c.outputs().iter().map(|p| p.name()).collect();
+                names.sort_unstable();
+                names
+            }
+            let (impl_ports, spec_ports) = (port_names(&implementation), port_names(&spec));
+            if impl_ports != spec_ports {
+                return Err(format!(
+                    "output ports differ: implementation {impl_ports:?}, specification {spec_ports:?}"
+                ));
+            }
             let corr = Correspondence::build(&implementation, &spec).map_err(|e| e.to_string())?;
             let verdicts = classify_outputs(&implementation, &spec, &corr, None, None)
                 .map_err(|e| e.to_string())?;

@@ -5,13 +5,14 @@
 //!                 [--heavy] [--mutations N]
 //! syseco-fuzz chaos --seed N --scenarios N [--out-dir DIR] [--heavy]
 //!                   [--mutations N]
+//! syseco-fuzz parse --seed N --iters N [--out-dir DIR]
 //! syseco-fuzz replay <file.eco-repro>
 //! ```
 //!
 //! `run` generates mutation-based ECO scenarios (implementation plus a
 //! semantics-changed spec with a known delta) and pushes each through the
 //! full cross-oracle conformance matrix: bit-parallel simulation, SAT CEC,
-//! BDD equivalence, `Syseco` rectification at one and four workers
+//! BDD equivalence, `Session` rectification at one and four workers
 //! (byte-identical patched netlists, patch verified against the spec),
 //! and — every `--cache-every`-th iteration — cold/warm replay through a
 //! scratch persistent cache. Any disagreement is shrunk and written to
@@ -26,6 +27,13 @@
 //! byte-identical patch. Violations are written as `.eco-repro` files with
 //! the triggering fault plan embedded. See DESIGN.md §13.
 //!
+//! `parse` fuzzes the BLIF reader the CLI and the daemon share: each
+//! iteration serializes a generated scenario, damages the text (dropped,
+//! duplicated, reordered or truncated lines, unknown tokens, a second
+//! `.model`), and requires a typed parse error or a circuit whose
+//! `write_blif` → `read_blif` round trip keeps its ports and function.
+//! Violating texts are written to `DIR/parse-<seed>.blif`.
+//!
 //! `replay` re-runs the whole matrix on a saved `.eco-repro` file and
 //! prints each disagreement. A repro carrying a `fault` line re-arms the
 //! same fault plan (requires `--features fault-injection`).
@@ -34,13 +42,14 @@
 
 use std::process::ExitCode;
 
-use syseco::fuzz::{parse_repro, write_repro, FuzzConfig, FuzzRunner, Repro};
+use syseco::fuzz::{iteration_seed, parse_repro, write_repro, FuzzConfig, FuzzRunner, Repro};
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  syseco-fuzz run --seed N --iters N [--out-dir DIR] [--cache-every N]\n                  \
          [--heavy] [--mutations N]\n  syseco-fuzz chaos --seed N --scenarios N [--out-dir DIR] [--heavy]\n                    \
-         [--mutations N]\n  syseco-fuzz replay <file.eco-repro>"
+         [--mutations N]\n  syseco-fuzz parse --seed N --iters N [--out-dir DIR]\n  \
+         syseco-fuzz replay <file.eco-repro>"
     );
     ExitCode::from(2)
 }
@@ -267,6 +276,92 @@ fn cmd_chaos(_args: &[String]) -> ExitCode {
     ExitCode::from(2)
 }
 
+/// The adversarial BLIF-reader sweep.
+fn cmd_parse(args: &[String]) -> ExitCode {
+    use eco_fuzz::{fuzz_blif_case, FuzzError, ScenarioConfig};
+
+    let mut seed = None;
+    let mut iters = None;
+    let mut out_dir = String::from("fuzz-repros");
+    let mut i = 0;
+    while i < args.len() {
+        let arg = args[i].as_str();
+        let value = args.get(i + 1);
+        match arg {
+            "--seed" => match parse_u64(arg, value) {
+                Ok(v) => seed = Some(v),
+                Err(e) => return fail_usage(&e),
+            },
+            "--iters" => match parse_u64(arg, value) {
+                Ok(v) => iters = Some(v),
+                Err(e) => return fail_usage(&e),
+            },
+            "--out-dir" => match value {
+                Some(v) => out_dir = v.clone(),
+                None => return fail_usage("--out-dir needs a value"),
+            },
+            other => return fail_usage(&format!("unknown flag: {other}")),
+        }
+        i += 2;
+    }
+    let (Some(seed), Some(iters)) = (seed, iters) else {
+        return fail_usage("parse needs both --seed and --iters");
+    };
+
+    let config = ScenarioConfig::default();
+    let (mut accepted, mut rejected, mut skipped, mut violations) = (0u64, 0u64, 0u64, 0u64);
+    for iteration in 0..iters {
+        let case_seed = iteration_seed(seed, iteration);
+        let case = match fuzz_blif_case(case_seed, &config) {
+            Ok(case) => case,
+            // A seed the workload generator cannot satisfy says nothing
+            // about the reader.
+            Err(FuzzError::Generator(_)) => {
+                skipped += 1;
+                continue;
+            }
+            Err(e) => {
+                eprintln!("syseco-fuzz: infrastructure error: {e}");
+                return ExitCode::from(2);
+            }
+        };
+        match case.outcome {
+            Ok(None) => accepted += 1,
+            Ok(Some(_)) => rejected += 1,
+            Err(reason) => {
+                violations += 1;
+                let damage: Vec<&str> = case.mutations.iter().map(|m| m.name()).collect();
+                println!(
+                    "VIOLATION iteration {iteration} seed {case_seed:#018x} ({}): {reason}",
+                    damage.join(", ")
+                );
+                let path = format!("{out_dir}/parse-{case_seed:016x}.blif");
+                let saved = std::fs::create_dir_all(&out_dir)
+                    .and_then(|()| std::fs::write(&path, &case.text));
+                match saved {
+                    Ok(()) => println!("  text written to {path}"),
+                    Err(e) => eprintln!("syseco-fuzz: cannot write {path}: {e}"),
+                }
+            }
+        }
+        let done = iteration + 1;
+        if done % 1000 == 0 || done == iters {
+            eprintln!("[syseco-fuzz] {done}/{iters} damaged netlist(s), {violations} violation(s)");
+        }
+    }
+    println!(
+        "parsed {} damaged netlist(s): {accepted} accepted and round-tripped, \
+         {rejected} rejected with a typed error, {violations} violation(s); \
+         {skipped} seed(s) skipped by the generator",
+        iters - skipped
+    );
+    if violations == 0 {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::from(1)
+    }
+}
+
 fn save_repro(path: &str, repro: &Repro) -> std::io::Result<()> {
     if let Some(parent) = std::path::Path::new(path).parent() {
         std::fs::create_dir_all(parent)?;
@@ -326,6 +421,7 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("run") => cmd_run(&args[1..]),
         Some("chaos") => cmd_chaos(&args[1..]),
+        Some("parse") => cmd_parse(&args[1..]),
         Some("replay") => cmd_replay(&args[1..]),
         _ => usage(),
     }

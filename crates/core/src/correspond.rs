@@ -36,14 +36,17 @@ pub struct Correspondence {
 
 impl Correspondence {
     /// Builds the correspondence, requiring every implementation output and
-    /// every specification input to be matched.
+    /// every specification input to be matched, and at least one output
+    /// pair to exist.
     ///
     /// # Errors
     ///
     /// [`EcoError::PortMismatch`] when an implementation output has no
     /// specification counterpart (its intended function would be unknown) or
     /// a specification input is absent from the implementation (the engine
-    /// must add it before building the correspondence).
+    /// must add it before building the correspondence), and
+    /// [`EcoError::NoOutputPairs`] when there is nothing to compare — an
+    /// empty comparison would otherwise pass vacuously.
     pub fn build(implementation: &Circuit, spec: &Circuit) -> Result<Self, EcoError> {
         let spec_out_index: HashMap<&str, u32> = spec
             .outputs()
@@ -87,6 +90,9 @@ impl Correspondence {
             return Err(EcoError::PortMismatch(
                 "specification reads inputs absent from the implementation".into(),
             ));
+        }
+        if outputs.is_empty() {
+            return Err(EcoError::NoOutputPairs);
         }
         Ok(Correspondence {
             outputs,
@@ -177,6 +183,19 @@ mod tests {
         assert!(matches!(
             Correspondence::build(&c, &s),
             Err(EcoError::PortMismatch(_))
+        ));
+    }
+
+    #[test]
+    fn zero_output_pairs_rejected() {
+        let mut c = Circuit::new("impl");
+        c.add_input("a");
+        let mut s = Circuit::new("spec");
+        let sa = s.add_input("a");
+        s.add_output("y", sa);
+        assert!(matches!(
+            Correspondence::build(&c, &s),
+            Err(EcoError::NoOutputPairs)
         ));
     }
 

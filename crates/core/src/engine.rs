@@ -1,4 +1,6 @@
-//! The `Syseco` engine facade.
+//! The engine flow behind [`Session`](crate::Session): port
+//! normalization, cache replay, the rewire search, and patch
+//! post-processing.
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -17,7 +19,6 @@ use crate::patch::{refine_patch_inputs_timed, Patch, PatchStats};
 use crate::progress::ProgressCallback;
 use crate::rectify::{rewire_rectify_with, RectifyStats};
 use crate::schedule::WorkerPool;
-use crate::session::Session;
 use crate::validate::apply_rewires;
 use crate::EcoError;
 
@@ -36,330 +37,206 @@ pub struct EcoResult {
     pub runtime: Duration,
     /// Structured trace spans of the run, in deterministic merge-slot
     /// order. Empty unless the run was given an enabled
-    /// [`Telemetry`] (see [`Session::with_telemetry`]).
+    /// [`Telemetry`] (see [`Session::with_telemetry`](crate::Session::with_telemetry)).
     pub trace: Vec<SpanRecord>,
 }
 
-/// The symbolic-sampling ECO engine of the paper.
-///
-/// # Example
-///
-/// ```
-/// use eco_netlist::{Circuit, GateKind};
-/// use syseco::{EcoOptions, Syseco};
-///
-/// # fn main() -> Result<(), syseco::EcoError> {
-/// // Implementation computes AND; the revised specification wants OR.
-/// let mut c = Circuit::new("impl");
-/// let a = c.add_input("a");
-/// let b = c.add_input("b");
-/// let g = c.add_gate(GateKind::And, &[a, b])?;
-/// c.add_output("y", g);
-/// let mut s = Circuit::new("spec");
-/// let a = s.add_input("a");
-/// let b = s.add_input("b");
-/// let g = s.add_gate(GateKind::Or, &[a, b])?;
-/// s.add_output("y", g);
-///
-/// let engine = Syseco::new(EcoOptions::builder().num_samples(64).jobs(1).build());
-/// let result = engine.rectify(&c, &s)?;
-/// assert!(syseco::verify_rectification(&result.patched, &s)?);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct Syseco {
-    options: EcoOptions,
+/// The full engine flow with an explicit observer and telemetry sink —
+/// the body behind
+/// [`Session::run_with_budget`](crate::Session::run_with_budget).
+pub(crate) fn rectify_with(
+    options: &EcoOptions,
+    implementation: &Circuit,
+    spec: &Circuit,
+    budget: &Budget,
+    observer: Option<&ProgressCallback>,
+    telemetry: &Telemetry,
+) -> Result<EcoResult, EcoError> {
+    let start = Instant::now();
+    implementation.check_well_formed()?;
+    spec.check_well_formed()?;
+    let named = name_spec_inputs(spec)?;
+    let spec = named.as_ref().unwrap_or(spec);
+    let mut patched = implementation.clone();
+    normalize_ports(&mut patched, spec)?;
+    // Persistent cache (DESIGN.md §11). On a full-key hit the run is
+    // *replayed* — the recorded rewire groups are applied and the result
+    // re-verified end to end — so a stale or colliding record degrades
+    // to the cold path instead of corrupting the output.
+    let mut cache = CacheSession::open(options, &patched, spec, budget);
+    let mut replay_rejects = 0u64;
+    if let Some(session) = cache.as_mut() {
+        if let Some(record) = session.run_record() {
+            match replay_run(
+                options, &patched, spec, &record, budget, telemetry, start, session,
+            ) {
+                Some(result) => return Ok(result),
+                None => replay_rejects = 1,
+            }
+        }
+    }
+    // Crash-safe checkpointing (DESIGN.md §13). Opened on the
+    // post-normalization circuit — the exact one the fan-out searches —
+    // so the run key covers what resume will actually rectify.
+    let checkpoint = CheckpointSession::open(options, &patched, spec, budget);
+    let (patch, mut rectify, mut trace, committed) = rewire_rectify_with(
+        &mut patched,
+        spec,
+        options,
+        budget,
+        observer,
+        &WorkerPool::new(options.effective_jobs()),
+        telemetry,
+        cache.as_mut(),
+        checkpoint.as_ref(),
+    )?;
+    // Patch-input refinement (§5.2 post-processing): reuse existing
+    // implementation logic inside the cloned patch. Under level-driven
+    // selection the merge is timing-aware. It is a pure optimisation,
+    // so a spent budget skips it and the run returns promptly.
+    if !budget.is_exhausted() {
+        let mut tb = telemetry.buffer(0);
+        let span = tb.start();
+        budget.fault_span(SpanPoint::RefinePatch)?;
+        let model = eco_timing::DelayModel::default();
+        refine_patch_inputs_timed(
+            &mut patched,
+            &patch,
+            options.validation_budget,
+            options.seed ^ 0x9e3779b97f4a7c15,
+            options.level_driven.then_some(&model),
+        )?;
+        let rewires = patch.rewires().len() as u64;
+        tb.end_with(span, "refine_patch", "rectify", || {
+            vec![("rewires", ArgValue::U64(rewires))]
+        });
+        trace.extend(tb.into_spans());
+    }
+    patched.sweep();
+    let stats = patch.stats(&patched);
+    rectify.cache_verify_rejects += replay_rejects;
+    if let Some(session) = cache.as_mut() {
+        session.record_run(&committed, &rectify);
+        // A commit failure loses warm-start data for future runs, never
+        // this run's result.
+        let _ = session.commit();
+        rectify.cache_misses = session.misses;
+        // `+=`: the checkpoint store's counters are already folded in.
+        rectify.cache_corrupt_segments += session.corrupt_segments();
+        rectify.cache_io_errors += session.io_errors();
+        rectify.cache_retries += session.retries();
+        let shard = telemetry.shard();
+        if shard.is_enabled() {
+            shard.add(Counter::CacheMisses, session.misses);
+            shard.add(Counter::CacheVerifyRejects, replay_rejects);
+        }
+    }
+    let shard = telemetry.shard();
+    if shard.is_enabled() {
+        shard.add(
+            Counter::CacheCorruptSegments,
+            rectify.cache_corrupt_segments,
+        );
+        shard.add(Counter::CacheIoErrors, rectify.cache_io_errors);
+        shard.add(Counter::CacheRetries, rectify.cache_retries);
+        shard.add(Counter::FaultInjections, budget.faults_fired());
+    }
+    Ok(EcoResult {
+        stats,
+        rectify,
+        runtime: start.elapsed(),
+        patched,
+        patch,
+        trace,
+    })
 }
 
-impl Syseco {
-    /// Creates an engine with the given options.
-    pub fn new(options: EcoOptions) -> Self {
-        Syseco { options }
-    }
-
-    /// The engine's options.
-    pub fn options(&self) -> &EcoOptions {
-        &self.options
-    }
-
-    /// Rectifies `implementation` against the revised specification `spec`,
-    /// returning the patched circuit and the patch.
-    ///
-    /// Specification inputs absent from the implementation are added as new
-    /// primary inputs; specification-only outputs are added as new ports
-    /// (initially constant) and rectified like any failing output.
-    ///
-    /// # Errors
-    ///
-    /// [`EcoError::PortMismatch`] when an implementation output has no
-    /// specification counterpart, and [`EcoError`] wrappers for malformed
-    /// circuits.
-    pub fn rectify(&self, implementation: &Circuit, spec: &Circuit) -> Result<EcoResult, EcoError> {
-        let budget = self.default_budget();
-        self.rectify_with_budget(implementation, spec, &budget)
-    }
-
-    /// Like [`Syseco::rectify`], but governed by an explicit [`Budget`]
-    /// (deadline and/or [`crate::CancelToken`]). On exhaustion the run
-    /// degrades gracefully — remaining outputs take the output-rewire
-    /// fallback and the cuts are recorded in
-    /// [`RectifyStats::degradations`] — instead of aborting.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Syseco::rectify`].
-    pub fn rectify_with_budget(
-        &self,
-        implementation: &Circuit,
-        spec: &Circuit,
-        budget: &Budget,
-    ) -> Result<EcoResult, EcoError> {
-        let pool = WorkerPool::new(self.options.effective_jobs());
-        self.rectify_with(
-            implementation,
-            spec,
-            budget,
-            None,
-            &pool,
-            &Telemetry::disabled(),
-        )
-    }
-
-    /// Rectifies a batch of (implementation, specification) pairs with one
-    /// shared worker pool.
-    ///
-    /// Jobs run sequentially in input order (results line up with `jobs`);
-    /// parallelism is applied *within* each job, across its failing outputs.
-    /// Each job gets its own budget derived from
-    /// [`EcoOptions::timeout`] — use a [`Session`] with a
-    /// [`crate::CancelToken`] to cancel a whole batch.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first job's [`EcoError`], abandoning the rest.
-    pub fn rectify_all(&self, jobs: &[(&Circuit, &Circuit)]) -> Result<Vec<EcoResult>, EcoError> {
-        let pool = WorkerPool::new(self.options.effective_jobs());
-        let telemetry = Telemetry::disabled();
-        jobs.iter()
-            .map(|(implementation, spec)| {
-                let budget = self.default_budget();
-                self.rectify_with(implementation, spec, &budget, None, &pool, &telemetry)
-            })
-            .collect()
-    }
-
-    /// Starts a [`Session`] over this engine's options — the handle for
-    /// attaching a cancellation token and a progress observer.
-    pub fn session(&self) -> Session {
-        Session::new(self.options.clone())
-    }
-
-    /// A budget derived from the configured timeout.
-    pub(crate) fn default_budget(&self) -> Budget {
-        match self.options.timeout {
-            Some(t) => Budget::with_deadline(t),
-            None => Budget::unlimited(),
+/// Attempts to reproduce a finished run from its cache record: applies
+/// the committed rewire groups in order, reruns the deterministic
+/// post-processing, and accepts only when a full equivalence check
+/// passes. By construction this replay is byte-identical to the cold
+/// run that recorded it (`apply_rewires` is the merge phase's only
+/// circuit mutation and the post-processing is seeded). Returns `None`
+/// on any mismatch — apply error, damaged verification, budget-unknown
+/// verdicts — and the caller falls back to the cold path.
+#[allow(clippy::too_many_arguments)]
+fn replay_run(
+    options: &EcoOptions,
+    base: &Circuit,
+    spec: &Circuit,
+    record: &RunRecord,
+    budget: &Budget,
+    telemetry: &Telemetry,
+    start: Instant,
+    session: &mut CacheSession,
+) -> Option<EcoResult> {
+    let mut patched = base.clone();
+    let mut patch = Patch::new(patched.num_nodes());
+    let mut shared_clones: HashMap<NetId, NetId> = HashMap::new();
+    for group in &record.groups {
+        let (ops, cloned) = apply_rewires(&mut patched, spec, group, &mut shared_clones).ok()?;
+        patch.record_cloned(cloned);
+        for op in ops {
+            patch.record_rewire(op);
         }
     }
-
-    /// The full engine flow with an explicit observer, worker pool, and
-    /// telemetry sink — the internal entry shared by [`Session`] and the
-    /// batch API.
-    pub(crate) fn rectify_with(
-        &self,
-        implementation: &Circuit,
-        spec: &Circuit,
-        budget: &Budget,
-        observer: Option<&ProgressCallback>,
-        pool: &WorkerPool,
-        telemetry: &Telemetry,
-    ) -> Result<EcoResult, EcoError> {
-        let start = Instant::now();
-        implementation.check_well_formed()?;
-        spec.check_well_formed()?;
-        let named = name_spec_inputs(spec)?;
-        let spec = named.as_ref().unwrap_or(spec);
-        let mut patched = implementation.clone();
-        normalize_ports(&mut patched, spec)?;
-        // Persistent cache (DESIGN.md §11). On a full-key hit the run is
-        // *replayed* — the recorded rewire groups are applied and the result
-        // re-verified end to end — so a stale or colliding record degrades
-        // to the cold path instead of corrupting the output.
-        let mut cache = CacheSession::open(&self.options, &patched, spec, budget);
-        let mut replay_rejects = 0u64;
-        if let Some(session) = cache.as_mut() {
-            if let Some(record) = session.run_record() {
-                match self.replay_run(&patched, spec, &record, budget, telemetry, start, session) {
-                    Some(result) => return Ok(result),
-                    None => replay_rejects = 1,
-                }
-            }
-        }
-        // Crash-safe checkpointing (DESIGN.md §13). Opened on the
-        // post-normalization circuit — the exact one the fan-out searches —
-        // so the run key covers what resume will actually rectify.
-        let checkpoint = CheckpointSession::open(&self.options, &patched, spec, budget);
-        let (patch, mut rectify, mut trace, committed) = rewire_rectify_with(
+    patched.sweep();
+    if !budget.is_exhausted() {
+        let model = eco_timing::DelayModel::default();
+        refine_patch_inputs_timed(
             &mut patched,
-            spec,
-            &self.options,
-            budget,
-            observer,
-            pool,
-            telemetry,
-            cache.as_mut(),
-            checkpoint.as_ref(),
-        )?;
-        // Patch-input refinement (§5.2 post-processing): reuse existing
-        // implementation logic inside the cloned patch. Under level-driven
-        // selection the merge is timing-aware. It is a pure optimisation,
-        // so a spent budget skips it and the run returns promptly.
-        if !budget.is_exhausted() {
-            let mut tb = telemetry.buffer(0);
-            let span = tb.start();
-            budget.fault_span(SpanPoint::RefinePatch)?;
-            let model = eco_timing::DelayModel::default();
-            refine_patch_inputs_timed(
-                &mut patched,
-                &patch,
-                self.options.validation_budget,
-                self.options.seed ^ 0x9e3779b97f4a7c15,
-                self.options.level_driven.then_some(&model),
-            )?;
-            let rewires = patch.rewires().len() as u64;
-            tb.end_with(span, "refine_patch", "rectify", || {
-                vec![("rewires", ArgValue::U64(rewires))]
-            });
-            trace.extend(tb.into_spans());
-        }
-        patched.sweep();
-        let stats = patch.stats(&patched);
-        rectify.cache_verify_rejects += replay_rejects;
-        if let Some(session) = cache.as_mut() {
-            session.record_run(&committed, &rectify);
-            // A commit failure loses warm-start data for future runs, never
-            // this run's result.
-            let _ = session.commit();
-            rectify.cache_misses = session.misses;
-            // `+=`: the checkpoint store's counters are already folded in.
-            rectify.cache_corrupt_segments += session.corrupt_segments();
-            rectify.cache_io_errors += session.io_errors();
-            rectify.cache_retries += session.retries();
-            let shard = telemetry.shard();
-            if shard.is_enabled() {
-                shard.add(Counter::CacheMisses, session.misses);
-                shard.add(Counter::CacheVerifyRejects, replay_rejects);
-            }
-        }
-        let shard = telemetry.shard();
-        if shard.is_enabled() {
-            shard.add(
-                Counter::CacheCorruptSegments,
-                rectify.cache_corrupt_segments,
-            );
-            shard.add(Counter::CacheIoErrors, rectify.cache_io_errors);
-            shard.add(Counter::CacheRetries, rectify.cache_retries);
-            shard.add(Counter::FaultInjections, budget.faults_fired());
-        }
-        Ok(EcoResult {
-            stats,
-            rectify,
-            runtime: start.elapsed(),
-            patched,
-            patch,
-            trace,
-        })
-    }
-
-    /// Attempts to reproduce a finished run from its cache record: applies
-    /// the committed rewire groups in order, reruns the deterministic
-    /// post-processing, and accepts only when a full equivalence check
-    /// passes. By construction this replay is byte-identical to the cold
-    /// run that recorded it (`apply_rewires` is the merge phase's only
-    /// circuit mutation and the post-processing is seeded). Returns `None`
-    /// on any mismatch — apply error, damaged verification, budget-unknown
-    /// verdicts — and the caller falls back to the cold path.
-    #[allow(clippy::too_many_arguments)]
-    fn replay_run(
-        &self,
-        base: &Circuit,
-        spec: &Circuit,
-        record: &RunRecord,
-        budget: &Budget,
-        telemetry: &Telemetry,
-        start: Instant,
-        session: &mut CacheSession,
-    ) -> Option<EcoResult> {
-        let mut patched = base.clone();
-        let mut patch = Patch::new(patched.num_nodes());
-        let mut shared_clones: HashMap<NetId, NetId> = HashMap::new();
-        for group in &record.groups {
-            let (ops, cloned) =
-                apply_rewires(&mut patched, spec, group, &mut shared_clones).ok()?;
-            patch.record_cloned(cloned);
-            for op in ops {
-                patch.record_rewire(op);
-            }
-        }
-        patched.sweep();
-        if !budget.is_exhausted() {
-            let model = eco_timing::DelayModel::default();
-            refine_patch_inputs_timed(
-                &mut patched,
-                &patch,
-                self.options.validation_budget,
-                self.options.seed ^ 0x9e3779b97f4a7c15,
-                self.options.level_driven.then_some(&model),
-            )
-            .ok()?;
-        }
-        patched.sweep();
-        let corr = Correspondence::build(&patched, spec).ok()?;
-        let verdicts = classify_outputs(
-            &patched,
-            spec,
-            &corr,
-            Some(self.options.validation_budget.saturating_mul(10)),
-            Some(budget),
+            &patch,
+            options.validation_budget,
+            options.seed ^ 0x9e3779b97f4a7c15,
+            options.level_driven.then_some(&model),
         )
         .ok()?;
-        if !verdicts
-            .iter()
-            .all(|v| matches!(v, Equivalence::Equivalent))
-        {
-            return None;
-        }
-        let rectify = RectifyStats {
-            outputs_total: record.outputs_total,
-            outputs_failing: record.outputs_failing,
-            rewire_rectified: record.rewire_rectified,
-            fallbacks: record.fallbacks,
-            cache_hits: 1,
-            cache_misses: session.misses,
-            cache_corrupt_segments: session.corrupt_segments(),
-            cache_io_errors: session.io_errors(),
-            cache_retries: session.retries(),
-            ..Default::default()
-        };
-        let shard = telemetry.shard();
-        if shard.is_enabled() {
-            shard.add(Counter::CacheHits, 1);
-            shard.add(Counter::CacheMisses, session.misses);
-            shard.add(Counter::CacheCorruptSegments, session.corrupt_segments());
-            shard.add(Counter::CacheIoErrors, session.io_errors());
-            shard.add(Counter::CacheRetries, session.retries());
-        }
-        let stats = patch.stats(&patched);
-        Some(EcoResult {
-            stats,
-            rectify,
-            runtime: start.elapsed(),
-            patched,
-            patch,
-            trace: Vec::new(),
-        })
     }
+    patched.sweep();
+    let corr = Correspondence::build(&patched, spec).ok()?;
+    let verdicts = classify_outputs(
+        &patched,
+        spec,
+        &corr,
+        Some(options.validation_budget.saturating_mul(10)),
+        Some(budget),
+    )
+    .ok()?;
+    if !verdicts
+        .iter()
+        .all(|v| matches!(v, Equivalence::Equivalent))
+    {
+        return None;
+    }
+    let rectify = RectifyStats {
+        outputs_total: record.outputs_total,
+        outputs_failing: record.outputs_failing,
+        rewire_rectified: record.rewire_rectified,
+        fallbacks: record.fallbacks,
+        cache_hits: 1,
+        cache_misses: session.misses,
+        cache_corrupt_segments: session.corrupt_segments(),
+        cache_io_errors: session.io_errors(),
+        cache_retries: session.retries(),
+        ..Default::default()
+    };
+    let shard = telemetry.shard();
+    if shard.is_enabled() {
+        shard.add(Counter::CacheHits, 1);
+        shard.add(Counter::CacheMisses, session.misses);
+        shard.add(Counter::CacheCorruptSegments, session.corrupt_segments());
+        shard.add(Counter::CacheIoErrors, session.io_errors());
+        shard.add(Counter::CacheRetries, session.retries());
+    }
+    let stats = patch.stats(&patched);
+    Some(EcoResult {
+        stats,
+        rectify,
+        runtime: start.elapsed(),
+        patched,
+        patch,
+        trace: Vec::new(),
+    })
 }
 
 /// Gives every unnamed (empty-labelled) specification input a stable
@@ -463,6 +340,7 @@ pub fn verify_rectification(patched: &Circuit, spec: &Circuit) -> Result<bool, E
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Session;
     use eco_netlist::GateKind;
 
     #[test]
@@ -538,32 +416,8 @@ mod tests {
         let sb = s.add_input("b_new");
         let g = s.add_gate(GateKind::And, &[sa, sb]).unwrap();
         s.add_output("y", g);
-        let engine = Syseco::new(EcoOptions::with_seed(2));
-        let result = engine.rectify(&c, &s).unwrap();
+        let result = Session::new(EcoOptions::with_seed(2)).run(&c, &s).unwrap();
         assert!(verify_rectification(&result.patched, &s).unwrap());
-    }
-
-    #[test]
-    fn batch_api_rectifies_every_pair_in_order() {
-        let mut c1 = Circuit::new("impl1");
-        let a = c1.add_input("a");
-        let b = c1.add_input("b");
-        let g = c1.add_gate(GateKind::And, &[a, b]).unwrap();
-        c1.add_output("y", g);
-        let mut s1 = Circuit::new("spec1");
-        let sa = s1.add_input("a");
-        let sb = s1.add_input("b");
-        let sg = s1.add_gate(GateKind::Or, &[sa, sb]).unwrap();
-        s1.add_output("y", sg);
-        // Second job is already equivalent.
-        let c2 = s1.clone();
-        let s2 = s1.clone();
-        let engine = Syseco::new(EcoOptions::with_seed(4));
-        let results = engine.rectify_all(&[(&c1, &s1), (&c2, &s2)]).unwrap();
-        assert_eq!(results.len(), 2);
-        assert!(verify_rectification(&results[0].patched, &s1).unwrap());
-        assert_eq!(results[0].rectify.outputs_failing, 1);
-        assert_eq!(results[1].rectify.outputs_failing, 0);
     }
 
     #[test]

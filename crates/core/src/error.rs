@@ -28,6 +28,10 @@ pub enum EcoError {
     /// quantifies over nothing, which would make every rectification
     /// vacuously feasible, so construction rejects it up front.
     EmptySamplingDomain,
+    /// The implementation and specification share no output port, so there
+    /// is no output pair to compare or rectify. Reported instead of a
+    /// vacuous "0 of 0 outputs differ" pass.
+    NoOutputPairs,
     /// An active fault plan aborted the run, simulating a hard crash
     /// (SIGKILL) at a span boundary: nothing further was written and the
     /// run must be resumable from its checkpoint directory. Only
@@ -47,6 +51,9 @@ impl fmt::Display for EcoError {
             }
             EcoError::EmptySamplingDomain => {
                 write!(f, "sampling domain must not be empty")
+            }
+            EcoError::NoOutputPairs => {
+                write!(f, "no output pairs: the circuits share no output port")
             }
             #[cfg(any(test, feature = "fault-injection"))]
             EcoError::InjectedAbort => {

@@ -3,7 +3,7 @@
 //! Re-exports the netlist-level machinery of the [`eco-fuzz`](eco_fuzz)
 //! crate (scenario generation, the simulation/SAT/BDD oracles, the
 //! shrinker, and the `.eco-repro` format) and layers the checks only this
-//! crate can perform on top: full [`Syseco`] rectification at one and four
+//! crate can perform on top: full [`Session`] rectification at one and four
 //! workers with byte-identical patched netlists, patch validity against
 //! the spec, and cold/warm replay through the persistent cache. The
 //! [`FuzzRunner`] drives all of it from a single seed; the `syseco-fuzz`
@@ -15,7 +15,7 @@ use eco_netlist::{write_blif, Circuit};
 
 pub use eco_fuzz::*;
 
-use crate::{verify_rectification, EcoOptions, Syseco};
+use crate::{verify_rectification, EcoOptions, Session};
 
 /// Configuration of a [`FuzzRunner`].
 #[derive(Debug, Clone)]
@@ -101,7 +101,7 @@ fn rectify_blif(
     label: &str,
     out: &mut Vec<Disagreement>,
 ) -> Option<String> {
-    match Syseco::new(options).rectify(implementation, spec) {
+    match Session::new(options).run(implementation, spec) {
         Ok(result) => {
             match verify_rectification(&result.patched, spec) {
                 Ok(true) => {}

@@ -19,7 +19,7 @@
 //!
 //! ```
 //! use eco_netlist::{Circuit, GateKind};
-//! use syseco::{EcoOptions, Syseco};
+//! use syseco::{EcoOptions, Session};
 //!
 //! # fn main() -> Result<(), syseco::EcoError> {
 //! // Implementation computes AND where the revision wants OR.
@@ -35,7 +35,7 @@
 //! s.add_output("y", g);
 //!
 //! let options = EcoOptions::builder().num_samples(64).jobs(1).build();
-//! let result = Syseco::new(options).rectify(&c, &s)?;
+//! let result = Session::new(options).run(&c, &s)?;
 //! assert!(syseco::verify_rectification(&result.patched, &s)?);
 //! println!("patch: {:?} in {:?}", result.stats, result.runtime);
 //! # Ok(())
@@ -87,7 +87,7 @@ mod session;
 pub mod validate;
 
 pub use budget::{Budget, BudgetStatus, CancelToken, Degradation, DegradeAction, DegradeReason};
-pub use engine::{verify_rectification, EcoResult, Syseco};
+pub use engine::{verify_rectification, EcoResult};
 pub use error::EcoError;
 pub use fault::SpanPoint;
 #[cfg(any(test, feature = "fault-injection"))]

@@ -301,7 +301,7 @@ enum Attempt {
 /// Runs the full rectification flow, mutating `implementation` in place.
 ///
 /// Returns the accumulated [`Patch`] and run statistics. The caller (the
-/// [`Syseco`](crate::Syseco) engine) is responsible for pre-normalizing
+/// [`Session`](crate::Session) engine flow) is responsible for pre-normalizing
 /// ports and for the post-processing patch sweep.
 ///
 /// With `budget: None`, a budget is built from `options.timeout` (unlimited
@@ -390,15 +390,12 @@ fn flush_search_metrics(shard: &MetricsShard, s: &SearchStats, search: Duration)
     shard.add(Counter::BddApplyMisses, s.bdd.apply_misses);
     shard.add(Counter::BddIteHits, s.bdd.ite_hits);
     shard.add(Counter::BddIteMisses, s.bdd.ite_misses);
-    shard.add(Counter::BddNotHits, s.bdd.not_hits);
-    shard.add(Counter::BddNotMisses, s.bdd.not_misses);
     shard.add(Counter::BddQuantHits, s.bdd.quant_hits);
     shard.add(Counter::BddQuantMisses, s.bdd.quant_misses);
     shard.add(Counter::BddUniqueResizes, s.bdd.unique_resizes);
     shard.add(Counter::BddEvictions, s.bdd.evictions);
     shard.add(Counter::BddGcRuns, s.bdd.gc_runs);
     shard.add(Counter::BddGcFreed, s.bdd.gc_freed_nodes);
-    shard.add(Counter::BddReorders, s.bdd.reorders);
     shard.add(Counter::RectifyRefinements, s.refinements as u64);
     shard.add(Counter::RectifyValidations, s.validations as u64);
     shard.add(Counter::RectifyPointSets, s.point_sets_tried as u64);
@@ -1339,7 +1336,7 @@ fn bdd_cut(e: BddError) -> Result<Attempt, EcoError> {
         BddError::NodeLimit { .. } => Ok(Attempt::NodeLimit),
         BddError::DeadlineExceeded => Ok(Attempt::BudgetOut(DegradeReason::DeadlineExceeded)),
         BddError::Cancelled => Ok(Attempt::BudgetOut(DegradeReason::Cancelled)),
-        // An armed bdd-gc/bdd-reorder fault point vetoed the pass through
+        // An armed bdd-gc fault point vetoed the pass through
         // the event hook: simulate a hard crash, exactly like an abort:
         // span fault — the run must be resumable from its checkpoints.
         #[cfg(any(test, feature = "fault-injection"))]
@@ -1378,11 +1375,9 @@ fn attempt_with_domain(
         options.bdd_node_limit
     };
     let mut m = BddManager::with_node_limit(node_limit);
-    // Automatic triggers for collection and sifting, checked at point-set
-    // boundaries. Fault arming may lower these to force the machinery
-    // under test.
+    // Automatic collection trigger, checked at point-set boundaries. Fault
+    // arming may lower it to force the machinery under test.
     m.set_gc_threshold(options.bdd_gc_threshold);
-    m.set_reorder_threshold(options.bdd_reorder_threshold);
     budget.arm_bdd(&mut m);
     let result = attempt_in_manager(
         &mut m,
@@ -1461,7 +1456,7 @@ fn attempt_in_manager(
     // (a strict superset of this attempt's sampling domain): one spec
     // simulation per attempt, reused by every screen below.
     let pf_bank = prefilter::PrefilterBank::build(spec, corr, pair, sample_bank)?;
-    // Handles the search must keep across GC/reorder boundaries: the
+    // Handles the search must keep across GC boundaries: the
     // per-input domain functions and every evaluated net of both circuits
     // (`fprime` and `g_spec` entries are aliases into these).
     let mut search_roots: Vec<Bdd> =
@@ -1561,12 +1556,9 @@ fn attempt_in_manager(
             stats.point_sets_tried += 1;
             // Point-set boundary: the previous iteration's H(t) and choice
             // intermediates are garbage now. Give the manager a chance to
-            // collect and re-sift against the handles still needed; both
-            // are no-ops until their automatic thresholds trip.
-            let boundary = m
-                .maybe_gc(&search_roots)
-                .and_then(|_| m.maybe_reorder(&search_roots));
-            if let Err(e) = boundary {
+            // collect against the handles still needed; a no-op until its
+            // automatic threshold trips.
+            if let Err(e) = m.maybe_gc(&search_roots) {
                 return bdd_cut(e);
             }
             trace!(

@@ -1,6 +1,6 @@
-//! A configured rectification session: options plus the run-scoped state —
-//! cancellation token and progress observer — that a bare
-//! [`Syseco`](crate::Syseco) call cannot carry.
+//! A configured rectification session — the engine's one entry point:
+//! options plus the run-scoped state (cancellation token, progress
+//! observer, telemetry hub).
 //!
 //! ```
 //! use eco_netlist::{Circuit, GateKind};
@@ -34,22 +34,20 @@ use eco_netlist::Circuit;
 use eco_telemetry::{MetricsSnapshot, Telemetry};
 
 use crate::budget::{Budget, CancelToken};
-use crate::engine::{EcoResult, Syseco};
+use crate::engine::{rectify_with, EcoResult};
 use crate::options::EcoOptions;
 use crate::progress::{ProgressCallback, ProgressEvent};
-use crate::schedule::WorkerPool;
 use crate::EcoError;
 
 /// A rectification session handle.
 ///
-/// Construct with [`Session::new`] or [`Syseco::session`], attach a
-/// [`CancelToken`] and/or a progress observer, then [`run`](Session::run)
-/// one pair or [`run_all`](Session::run_all) a batch. The session is
+/// Construct with [`Session::new`], attach a [`CancelToken`] and/or a
+/// progress observer, then [`run`](Session::run) a pair. The session is
 /// reusable: every run derives a fresh [`Budget`] from the options'
 /// timeout, sharing the attached token.
 #[derive(Clone)]
 pub struct Session {
-    engine: Syseco,
+    options: EcoOptions,
     cancel: Option<CancelToken>,
     observer: Option<ProgressCallback>,
     telemetry: Telemetry,
@@ -58,7 +56,7 @@ pub struct Session {
 impl std::fmt::Debug for Session {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Session")
-            .field("options", self.engine.options())
+            .field("options", &self.options)
             .field("cancel", &self.cancel)
             .field("observer", &self.observer.as_ref().map(|_| "<callback>"))
             .field("telemetry", &self.telemetry.is_enabled())
@@ -70,7 +68,7 @@ impl Session {
     /// A session over `options`, with no cancellation or observer attached.
     pub fn new(options: EcoOptions) -> Self {
         Session {
-            engine: Syseco::new(options),
+            options,
             cancel: None,
             observer: None,
             telemetry: Telemetry::disabled(),
@@ -79,7 +77,7 @@ impl Session {
 
     /// The session's options.
     pub fn options(&self) -> &EcoOptions {
-        self.engine.options()
+        &self.options
     }
 
     /// Attaches a cancellation token: cancelling it degrades the run (every
@@ -123,72 +121,58 @@ impl Session {
     /// A fresh budget for one run: the options' timeout plus the attached
     /// cancellation token.
     fn budget(&self) -> Budget {
-        let mut budget = self.engine.default_budget();
+        let mut budget = match self.options.timeout {
+            Some(t) => Budget::with_deadline(t),
+            None => Budget::unlimited(),
+        };
         if let Some(token) = &self.cancel {
             budget = budget.with_cancel(token);
         }
         budget
     }
 
-    /// Rectifies one pair under this session's budget and observer.
+    /// Rectifies `implementation` against the revised specification `spec`
+    /// under this session's budget and observer, returning the patched
+    /// circuit and the patch.
+    ///
+    /// Specification inputs absent from the implementation are added as new
+    /// primary inputs; specification-only outputs are added as new ports
+    /// (initially constant) and rectified like any failing output.
     ///
     /// # Errors
     ///
-    /// Same as [`Syseco::rectify`].
+    /// [`EcoError::PortMismatch`] when an implementation output has no
+    /// specification counterpart, and [`EcoError`] wrappers for malformed
+    /// circuits.
     pub fn run(&self, implementation: &Circuit, spec: &Circuit) -> Result<EcoResult, EcoError> {
         let budget = self.budget();
         self.run_with_budget(implementation, spec, &budget)
     }
 
     /// Like [`Session::run`] with an externally owned [`Budget`] (the
-    /// attached cancellation token is *not* merged into it).
+    /// attached cancellation token is *not* merged into it). On exhaustion
+    /// the run degrades gracefully — remaining outputs take the
+    /// output-rewire fallback and the cuts are recorded in
+    /// [`RectifyStats::degradations`](crate::RectifyStats::degradations) —
+    /// instead of aborting.
     ///
     /// # Errors
     ///
-    /// Same as [`Syseco::rectify`].
+    /// Same as [`Session::run`].
     pub fn run_with_budget(
         &self,
         implementation: &Circuit,
         spec: &Circuit,
         budget: &Budget,
     ) -> Result<EcoResult, EcoError> {
-        let pool = WorkerPool::new(self.options().effective_jobs());
-        self.engine.rectify_with(
+        rectify_with(
+            &self.options,
             implementation,
             spec,
             budget,
             self.observer.as_ref(),
-            &pool,
             &self.telemetry,
         )
-    }
-
-    /// Rectifies a batch of pairs with one shared worker pool.
-    ///
-    /// Jobs run sequentially in input order; parallelism is applied within
-    /// each job, across its failing outputs. Every job gets a fresh
-    /// timeout-derived budget sharing the attached cancellation token, so
-    /// cancelling the token stops the whole batch (each remaining job
-    /// degrades promptly to fallbacks).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first job's [`EcoError`], abandoning the rest.
-    pub fn run_all(&self, jobs: &[(&Circuit, &Circuit)]) -> Result<Vec<EcoResult>, EcoError> {
-        let pool = WorkerPool::new(self.options().effective_jobs());
-        jobs.iter()
-            .map(|(implementation, spec)| {
-                let budget = self.budget();
-                self.engine.rectify_with(
-                    implementation,
-                    spec,
-                    &budget,
-                    self.observer.as_ref(),
-                    &pool,
-                    &self.telemetry,
-                )
-            })
-            .collect()
     }
 }
 
@@ -261,15 +245,5 @@ mod tests {
         assert!(Session::new(EcoOptions::with_seed(3))
             .metrics_snapshot()
             .is_empty());
-    }
-
-    #[test]
-    fn run_all_lines_up_with_inputs() {
-        let (c, s) = and_or_pair();
-        let session = Session::new(EcoOptions::with_seed(3));
-        let results = session.run_all(&[(&c, &s), (&s, &s)]).unwrap();
-        assert_eq!(results.len(), 2);
-        assert_eq!(results[0].rectify.outputs_failing, 1);
-        assert_eq!(results[1].rectify.outputs_failing, 0);
     }
 }

@@ -2,7 +2,7 @@
 //! stay correct; the knobs only trade quality and effort.
 
 use eco_netlist::{Circuit, GateKind};
-use syseco::{verify_rectification, EcoOptions, SamplePolicy, Syseco};
+use syseco::{verify_rectification, EcoOptions, SamplePolicy, Session};
 
 /// A multi-sink case: two output words gated by v0/v1 must be re-gated by
 /// c/¬c (the Figure-1 shape, 2 bits wide).
@@ -40,8 +40,8 @@ fn case() -> (Circuit, Circuit) {
 
 fn rectify_with(options: EcoOptions) -> syseco::EcoResult {
     let (implementation, spec) = case();
-    let result = Syseco::new(options)
-        .rectify(&implementation, &spec)
+    let result = Session::new(options)
+        .run(&implementation, &spec)
         .expect("rectification succeeds");
     assert!(
         verify_rectification(&result.patched, &spec).unwrap(),

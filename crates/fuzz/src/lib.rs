@@ -17,11 +17,12 @@
 //! * [`shrink`] greedily minimizes any failing pair to a human-sized
 //!   repro, serialized as a replayable `.eco-repro` file ([`repro`]).
 //!
-//! Pipeline-level checks (full `Syseco` rectification at several job
+//! Pipeline-level checks (full `Session` rectification at several job
 //! counts, cache cold/warm replay, byte-identical determinism) layer on
 //! top of this crate in `syseco::fuzz`, which also hosts the `syseco-fuzz`
 //! CLI.
 
+pub mod blif;
 mod error;
 pub mod mutate;
 pub mod oracle;
@@ -29,6 +30,7 @@ pub mod repro;
 pub mod scenario;
 pub mod shrink;
 
+pub use blif::{fuzz_blif_case, BlifCase, TextMutation};
 pub use error::FuzzError;
 pub use mutate::{apply_random_mutation, mutate_n, MutationKind, MutationRecord};
 pub use oracle::{

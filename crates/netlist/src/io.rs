@@ -16,10 +16,13 @@
 //!
 //! Net names are explicit; `.gate KIND OUT IN...` defines a gate driving
 //! `OUT`, `.assign PORT NET` binds an output port, and `.const0`/`.const1`
-//! name the constants. Round-tripping preserves structure exactly (modulo
-//! dead nodes, which are not emitted).
+//! name the constants. Every port declared in `.outputs` must be driven,
+//! either by its `.assign` or by a net of the same name; ports follow the
+//! `.outputs` order, then any `.assign`-only ports in `.assign` order.
+//! Round-tripping preserves structure exactly (modulo dead nodes, which
+//! are not emitted).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
 use std::str::FromStr;
@@ -56,12 +59,26 @@ pub enum ParseBlifError {
         /// The undefined name.
         name: String,
     },
-    /// A net name was defined twice.
+    /// A net or output port name was defined twice.
     Redefined {
         /// 1-based line number.
         line: usize,
         /// The redefined name.
         name: String,
+    },
+    /// A port declared in `.outputs` has neither an `.assign` nor a net of
+    /// the same name to drive it.
+    UndrivenOutput {
+        /// 1-based line number of the declaring `.outputs` line.
+        line: usize,
+        /// The undriven port name.
+        name: String,
+    },
+    /// A `.model` line after the first directive (a second model, or a
+    /// model header after the body started).
+    UnexpectedModel {
+        /// 1-based line number.
+        line: usize,
     },
     /// The resulting structure violated a netlist invariant.
     Netlist(NetlistError),
@@ -84,6 +101,12 @@ impl fmt::Display for ParseBlifError {
             }
             ParseBlifError::Redefined { line, name } => {
                 write!(f, "line {line}: net {name:?} redefined")
+            }
+            ParseBlifError::UndrivenOutput { line, name } => {
+                write!(f, "line {line}: output {name:?} has no driver")
+            }
+            ParseBlifError::UnexpectedModel { line } => {
+                write!(f, "line {line}: .model must be the first directive")
             }
             ParseBlifError::Netlist(e) => write!(f, "netlist error: {e}"),
         }
@@ -140,10 +163,23 @@ fn kind_from_name(name: &str) -> Option<GateKind> {
 
 /// Serializes `circuit` to the BLIF-style text format.
 ///
-/// Dead nodes are skipped; internal nets get synthetic `w<INDEX>` names.
+/// Dead nodes are skipped; internal nets get synthetic `w<INDEX>` names,
+/// suffixed with `_` when an input already carries that name.
 pub fn write_blif(circuit: &Circuit) -> String {
     let mut out = String::new();
     out.push_str(&format!(".model {}\n", circuit.name()));
+    let input_names: HashSet<&str> = circuit
+        .inputs()
+        .iter()
+        .filter_map(|&id| circuit.node(id).name())
+        .collect();
+    let internal_name = |net: NetId| {
+        let mut name = format!("w{}", net.index());
+        while input_names.contains(name.as_str()) {
+            name.push('_');
+        }
+        name
+    };
     let mut names: HashMap<NetId, String> = HashMap::new();
     let mut inputs_line = String::from(".inputs");
     for &id in circuit.inputs() {
@@ -151,7 +187,7 @@ pub fn write_blif(circuit: &Circuit) -> String {
             .node(id)
             .name()
             .map(str::to_string)
-            .unwrap_or_else(|| format!("w{}", id.index()));
+            .unwrap_or_else(|| internal_name(id.into()));
         inputs_line.push(' ');
         inputs_line.push_str(&name);
         names.insert(id.into(), name);
@@ -173,17 +209,17 @@ pub fn write_blif(circuit: &Circuit) -> String {
         match node.kind() {
             GateKind::Input => {}
             GateKind::Const0 => {
-                let name = format!("w{}", net.index());
+                let name = internal_name(net);
                 out.push_str(&format!(".const0 {name}\n"));
                 names.insert(net, name);
             }
             GateKind::Const1 => {
-                let name = format!("w{}", net.index());
+                let name = internal_name(net);
                 out.push_str(&format!(".const1 {name}\n"));
                 names.insert(net, name);
             }
             kind => {
-                let name = format!("w{}", net.index());
+                let name = internal_name(net);
                 let mut line = format!(".gate {} {name}", kind_name(kind));
                 for f in node.fanins() {
                     line.push(' ');
@@ -242,13 +278,15 @@ pub fn write_dot(circuit: &Circuit) -> String {
 ///
 /// # Errors
 ///
-/// See [`ParseBlifError`]; the parser is strict (unknown directives and
-/// undefined nets are rejected).
+/// See [`ParseBlifError`]; the parser is strict (unknown directives,
+/// undefined nets, undriven or doubly bound outputs, and a second `.model`
+/// are rejected).
 pub fn read_blif(text: &str) -> Result<Circuit, ParseBlifError> {
     let mut circuit = Circuit::new("unnamed");
     let mut nets: HashMap<String, NetId> = HashMap::new();
-    let mut pending_outputs: Vec<String> = Vec::new();
+    let mut declared: Vec<(usize, String)> = Vec::new();
     let mut assigns: Vec<(usize, String, String)> = Vec::new();
+    let mut in_body = false;
 
     for (lineno, raw) in text.lines().enumerate() {
         let line = lineno + 1;
@@ -257,13 +295,16 @@ pub fn read_blif(text: &str) -> Result<Circuit, ParseBlifError> {
             continue;
         }
         let tokens: Vec<&str> = trimmed.split_whitespace().collect();
+        if tokens[0] == ".model" && in_body {
+            return Err(ParseBlifError::UnexpectedModel { line });
+        }
+        in_body = true;
         match tokens[0] {
             ".model" => {
                 if tokens.len() < 2 {
                     return Err(ParseBlifError::MissingTokens { line });
                 }
                 circuit = Circuit::new(tokens[1]);
-                nets.clear();
             }
             ".inputs" => {
                 for &name in &tokens[1..] {
@@ -278,7 +319,7 @@ pub fn read_blif(text: &str) -> Result<Circuit, ParseBlifError> {
                 }
             }
             ".outputs" => {
-                pending_outputs.extend(tokens[1..].iter().map(|s| s.to_string()));
+                declared.extend(tokens[1..].iter().map(|s| (line, s.to_string())));
             }
             ".const0" | ".const1" => {
                 if tokens.len() < 2 {
@@ -336,14 +377,48 @@ pub fn read_blif(text: &str) -> Result<Circuit, ParseBlifError> {
             }
         }
     }
-    for (line, port, net) in assigns {
-        let w = nets
-            .get(&net)
-            .copied()
-            .ok_or(ParseBlifError::UndefinedNet { line, name: net })?;
-        circuit.add_output(port, w);
+    let mut bound: HashMap<&str, (usize, &str)> = HashMap::new();
+    for (line, port, net) in &assigns {
+        if bound.insert(port, (*line, net)).is_some() {
+            return Err(ParseBlifError::Redefined {
+                line: *line,
+                name: port.clone(),
+            });
+        }
     }
-    let _ = pending_outputs;
+    let driver = |line: usize, net: &str| {
+        nets.get(net)
+            .copied()
+            .ok_or_else(|| ParseBlifError::UndefinedNet {
+                line,
+                name: net.to_string(),
+            })
+    };
+    let mut ports: HashSet<&str> = HashSet::new();
+    for (line, name) in &declared {
+        if !ports.insert(name) {
+            return Err(ParseBlifError::Redefined {
+                line: *line,
+                name: name.clone(),
+            });
+        }
+        let net = match bound.get(name.as_str()) {
+            Some(&(assign_line, net)) => driver(assign_line, net)?,
+            None => nets
+                .get(name)
+                .copied()
+                .ok_or_else(|| ParseBlifError::UndrivenOutput {
+                    line: *line,
+                    name: name.clone(),
+                })?,
+        };
+        circuit.add_output(name.as_str(), net);
+    }
+    for (line, port, net) in &assigns {
+        if !ports.contains(port.as_str()) {
+            circuit.add_output(port.as_str(), driver(*line, net)?);
+        }
+    }
     circuit.check_well_formed()?;
     Ok(circuit)
 }
@@ -389,6 +464,18 @@ mod tests {
                 original.eval(&assign).unwrap(),
                 "pattern {j}"
             );
+        }
+    }
+
+    #[test]
+    fn synthetic_net_names_avoid_input_names() {
+        let text = ".model x\n.inputs a b w3\n.outputs o\n.gate and g a w3\n.gate or o g b\n.end\n";
+        let c = read_blif(text).unwrap();
+        let again = read_blif(&write_blif(&c)).unwrap();
+        assert_eq!(write_blif(&again), write_blif(&c));
+        for j in 0..8u8 {
+            let assign = [(j & 1) == 1, (j & 2) == 2, (j & 4) == 4];
+            assert_eq!(again.eval(&assign).unwrap(), c.eval(&assign).unwrap());
         }
     }
 
@@ -447,6 +534,50 @@ mod tests {
     }
 
     #[test]
+    fn declared_outputs_resolve_through_same_named_nets() {
+        let c = read_blif(".model x\n.inputs a b\n.outputs o\n.gate and o a b\n.end\n").unwrap();
+        assert_eq!(c.num_outputs(), 1);
+        assert_eq!(c.outputs()[0].name(), "o");
+        assert_eq!(c.eval(&[true, true]).unwrap(), vec![true]);
+        assert_eq!(c.eval(&[true, false]).unwrap(), vec![false]);
+    }
+
+    #[test]
+    fn ports_follow_outputs_order_then_assign_only_ports() {
+        let text = ".model x\n.inputs a b\n.outputs q p\n.gate and w a b\n\
+                    .assign r a\n.assign p w\n.gate or q a b\n.end\n";
+        let c = read_blif(text).unwrap();
+        let names: Vec<&str> = c.outputs().iter().map(|p| p.name()).collect();
+        assert_eq!(names, ["q", "p", "r"]);
+    }
+
+    #[test]
+    fn undriven_declared_output_is_a_typed_error() {
+        let err = read_blif(".model x\n.inputs a\n.outputs o\n.end\n").unwrap_err();
+        assert_eq!(
+            err,
+            ParseBlifError::UndrivenOutput {
+                line: 3,
+                name: "o".into()
+            }
+        );
+    }
+
+    #[test]
+    fn doubly_bound_outputs_are_rejected() {
+        let err = read_blif(".model x\n.inputs a\n.assign o a\n.assign o a\n.end\n").unwrap_err();
+        assert!(matches!(err, ParseBlifError::Redefined { line: 4, .. }));
+        let err = read_blif(".model x\n.inputs a\n.outputs a a\n.end\n").unwrap_err();
+        assert!(matches!(err, ParseBlifError::Redefined { line: 3, .. }));
+    }
+
+    #[test]
+    fn second_model_is_rejected() {
+        let err = read_blif(".model x\n.inputs a\n.model y\n.end\n").unwrap_err();
+        assert_eq!(err, ParseBlifError::UnexpectedModel { line: 3 });
+    }
+
+    #[test]
     fn dot_output_mentions_ports_and_gates() {
         let c = sample();
         let dot = write_dot(&c);
@@ -480,6 +611,11 @@ mod tests {
                 line: 5,
                 name: "m".into(),
             },
+            ParseBlifError::UndrivenOutput {
+                line: 6,
+                name: "o".into(),
+            },
+            ParseBlifError::UnexpectedModel { line: 7 },
         ];
         for e in cases {
             assert!(!e.to_string().is_empty());

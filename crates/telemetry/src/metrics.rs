@@ -56,10 +56,6 @@ metric_enum! {
         BddIteHits => names::BDD_ITE_HITS,
         /// BDD ITE-cache misses.
         BddIteMisses => names::BDD_ITE_MISSES,
-        /// BDD NOT-cache hits.
-        BddNotHits => names::BDD_NOT_HITS,
-        /// BDD NOT-cache misses.
-        BddNotMisses => names::BDD_NOT_MISSES,
         /// BDD quantification-cache hits.
         BddQuantHits => names::BDD_QUANT_HITS,
         /// BDD quantification-cache misses.
@@ -72,8 +68,6 @@ metric_enum! {
         BddGcRuns => names::BDD_GC_RUNS,
         /// BDD nodes reclaimed by garbage collection.
         BddGcFreed => names::BDD_GC_FREED,
-        /// BDD variable-reorder (sifting) passes.
-        BddReorders => names::BDD_REORDERS,
         /// Sampling-domain refinements (false positives fed back).
         RectifyRefinements => names::RECTIFY_REFINEMENTS,
         /// SAT validation calls.

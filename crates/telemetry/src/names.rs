@@ -33,10 +33,6 @@ pub const BDD_APPLY_MISSES: &str = "bdd.apply.misses";
 pub const BDD_ITE_HITS: &str = "bdd.ite.hits";
 /// BDD ITE-cache misses.
 pub const BDD_ITE_MISSES: &str = "bdd.ite.misses";
-/// BDD NOT-cache hits.
-pub const BDD_NOT_HITS: &str = "bdd.not.hits";
-/// BDD NOT-cache misses.
-pub const BDD_NOT_MISSES: &str = "bdd.not.misses";
 /// BDD quantification-cache hits.
 pub const BDD_QUANT_HITS: &str = "bdd.quant.hits";
 /// BDD quantification-cache misses.
@@ -49,8 +45,6 @@ pub const BDD_EVICTIONS: &str = "bdd.evictions";
 pub const BDD_GC_RUNS: &str = "bdd.gc.runs";
 /// BDD nodes reclaimed by garbage collection.
 pub const BDD_GC_FREED: &str = "bdd.gc.freed";
-/// BDD variable-reorder (sifting) passes.
-pub const BDD_REORDERS: &str = "bdd.reorders";
 /// Sampling-domain refinements (false positives fed back).
 pub const RECTIFY_REFINEMENTS: &str = "rectify.refinements";
 /// SAT validation calls.
@@ -155,15 +149,12 @@ pub const ALL_METRIC_NAMES: &[&str] = &[
     BDD_APPLY_MISSES,
     BDD_ITE_HITS,
     BDD_ITE_MISSES,
-    BDD_NOT_HITS,
-    BDD_NOT_MISSES,
     BDD_QUANT_HITS,
     BDD_QUANT_MISSES,
     BDD_UNIQUE_RESIZES,
     BDD_EVICTIONS,
     BDD_GC_RUNS,
     BDD_GC_FREED,
-    BDD_REORDERS,
     RECTIFY_REFINEMENTS,
     RECTIFY_VALIDATIONS,
     RECTIFY_POINT_SETS,

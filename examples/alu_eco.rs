@@ -14,7 +14,7 @@ use eco_synth::lower::synthesize;
 use eco_synth::opt::{optimize, OptOptions};
 use eco_synth::rtl::{ReduceOp, RtlModule, WordExpr as E};
 use syseco::baseline::{cone, deltasyn};
-use syseco::{verify_rectification, EcoOptions, Syseco};
+use syseco::{verify_rectification, EcoOptions, Session};
 
 const WIDTH: u32 = 8;
 
@@ -86,7 +86,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Three engines, one case.
     let commercial = cone::rectify(&implementation, &spec)?;
     let ds = deltasyn::rectify(&implementation, &spec)?;
-    let sy = Syseco::new(EcoOptions::default()).rectify(&implementation, &spec)?;
+    let sy = Session::new(EcoOptions::default()).run(&implementation, &spec)?;
 
     println!("\n             inputs outputs  gates   nets     time");
     for (name, r) in [

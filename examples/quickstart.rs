@@ -6,7 +6,7 @@
 //! ```
 
 use eco_netlist::{Circuit, CircuitStats, GateKind};
-use syseco::{verify_rectification, EcoOptions, Syseco};
+use syseco::{verify_rectification, EcoOptions, Session};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The current implementation: a 2-bit comparator with a bug — the
@@ -52,8 +52,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("specification:  {}", CircuitStats::of(&spec));
 
     // Run the symbolic-sampling ECO engine.
-    let engine = Syseco::new(EcoOptions::default());
-    let result = engine.rectify(&implementation, &spec)?;
+    let engine = Session::new(EcoOptions::default());
+    let result = engine.run(&implementation, &spec)?;
 
     println!("\nrectified in {:?}", result.runtime);
     println!(

@@ -5,15 +5,15 @@
 
 use eco_workload::{build_case, table1_params};
 use syseco::baseline::{cone, deltasyn};
-use syseco::{verify_rectification, EcoOptions, Syseco};
+use syseco::{verify_rectification, EcoOptions, Session};
 
 #[test]
 fn all_engines_correct_on_case5() {
     let case = build_case(&table1_params()[4]);
     let commercial = cone::rectify(&case.implementation, &case.spec).unwrap();
     let ds = deltasyn::rectify(&case.implementation, &case.spec).unwrap();
-    let sy = Syseco::new(EcoOptions::default())
-        .rectify(&case.implementation, &case.spec)
+    let sy = Session::new(EcoOptions::default())
+        .run(&case.implementation, &case.spec)
         .unwrap();
     for (name, r) in [("cone", &commercial), ("deltasyn", &ds), ("syseco", &sy)] {
         assert!(
@@ -64,8 +64,8 @@ fn optimization_hurts_deltasyn_more_than_syseco() {
 
     let ds_light = deltasyn::rectify(&light.implementation, &light.spec).unwrap();
     let ds_heavy = deltasyn::rectify(&heavy.implementation, &heavy.spec).unwrap();
-    let sy_heavy = Syseco::new(EcoOptions::default())
-        .rectify(&heavy.implementation, &heavy.spec)
+    let sy_heavy = Session::new(EcoOptions::default())
+        .run(&heavy.implementation, &heavy.spec)
         .unwrap();
 
     assert!(

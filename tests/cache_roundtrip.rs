@@ -10,7 +10,7 @@ use common::{case_params, tmp_dir};
 use eco_netlist::write_blif;
 use eco_workload::{build_case, CaseParams, RevisionKind};
 use proptest::prelude::*;
-use syseco::{verify_rectification, CacheMode, EcoOptions, Syseco};
+use syseco::{verify_rectification, CacheMode, EcoOptions, Session};
 
 /// Small multi-output cases: enough failing cones for per-output records
 /// to matter, cheap enough to rectify three times per proptest case.
@@ -32,8 +32,8 @@ proptest! {
                 .cache_dir(&dir)
                 .cache_mode(mode)
                 .build();
-            Syseco::new(options)
-                .rectify(&case.implementation, &case.spec)
+            Session::new(options)
+                .run(&case.implementation, &case.spec)
                 .expect("rectification succeeds")
         };
 
@@ -72,8 +72,8 @@ proptest! {
             if let Some(mode) = mode {
                 builder = builder.cache_dir(&dir).cache_mode(mode);
             }
-            Syseco::new(builder.build())
-                .rectify(&case.implementation, &case.spec)
+            Session::new(builder.build())
+                .run(&case.implementation, &case.spec)
                 .expect("rectification succeeds")
         };
 
@@ -120,8 +120,8 @@ fn corrupted_cache_degrades_to_misses_not_errors() {
             .jobs(1)
             .cache_dir(&dir)
             .build();
-        Syseco::new(options)
-            .rectify(&case.implementation, &case.spec)
+        Session::new(options)
+            .run(&case.implementation, &case.spec)
             .expect("rectification succeeds")
     };
 

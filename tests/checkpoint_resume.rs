@@ -11,7 +11,7 @@ use common::{case_params, tmp_dir};
 use eco_netlist::write_blif;
 use eco_workload::{build_case, CaseParams, RevisionKind};
 use proptest::prelude::*;
-use syseco::{verify_rectification, EcoOptions, EcoResult, Syseco};
+use syseco::{verify_rectification, EcoOptions, EcoResult, Session};
 
 fn multi_output_params() -> CaseParams {
     CaseParams {
@@ -42,8 +42,8 @@ fn run_checkpointed(
     if let Some(dir) = dir {
         builder = builder.checkpoint_dir(dir.to_path_buf());
     }
-    Syseco::new(builder.build())
-        .rectify(&case.implementation, &case.spec)
+    Session::new(builder.build())
+        .run(&case.implementation, &case.spec)
         .expect("rectification succeeds")
 }
 
@@ -158,13 +158,13 @@ fn checkpoints_key_on_the_revision_pair() {
 #[cfg(feature = "fault-injection")]
 #[test]
 fn killed_at_every_fault_point_resumes_byte_identically() {
-    use syseco::{Budget, EcoError, FaultPlan, Session, SpanPoint};
+    use syseco::{Budget, EcoError, FaultPlan, SpanPoint};
 
     let case = build_case(&multi_output_params());
     for jobs in [1usize, 4] {
         let options = EcoOptions::builder().seed(0xC4EC).jobs(jobs).build();
-        let reference = Syseco::new(options)
-            .rectify(&case.implementation, &case.spec)
+        let reference = Session::new(options)
+            .run(&case.implementation, &case.spec)
             .expect("uninterrupted run succeeds");
         let reference = write_blif(&reference.patched);
 
@@ -213,59 +213,55 @@ fn killed_at_every_fault_point_resumes_byte_identically() {
     }
 }
 
-/// The BDD engine's own fault points: abort injected through the manager's
-/// event hook at the first garbage-collection and the first reorder pass.
-/// Arming either point forces the manager's thresholds low so the faulted
-/// machinery genuinely runs; the veto surfaces as the same simulated crash
-/// as a span abort, and a faultless rerun over the surviving checkpoints
-/// must reproduce the uninterrupted bytes.
+/// The BDD engine's own fault point: abort injected through the manager's
+/// event hook at the first garbage-collection pass. Arming it forces the
+/// manager's GC threshold low so the faulted machinery genuinely runs; the
+/// veto surfaces as the same simulated crash as a span abort, and a
+/// faultless rerun over the surviving checkpoints must reproduce the
+/// uninterrupted bytes.
 #[cfg(feature = "fault-injection")]
 #[test]
-fn killed_inside_bdd_gc_and_reorder_resumes_byte_identically() {
-    use syseco::{Budget, EcoError, FaultPlan, Session};
+fn killed_inside_bdd_gc_resumes_byte_identically() {
+    use syseco::{Budget, EcoError, FaultPlan};
 
     let case = build_case(&multi_output_params());
     for jobs in [1usize, 4] {
         let options = EcoOptions::builder().seed(0xC4EC).jobs(jobs).build();
-        let reference = Syseco::new(options)
-            .rectify(&case.implementation, &case.spec)
+        let reference = Session::new(options)
+            .run(&case.implementation, &case.spec)
             .expect("uninterrupted run succeeds");
         let reference = write_blif(&reference.patched);
 
-        for point in ["bdd-gc", "bdd-reorder"] {
-            let dir = tmp_dir(&format!("ckpt-kill-{point}-j{jobs}"));
-            let options = EcoOptions::builder()
-                .seed(0xC4EC)
-                .jobs(jobs)
-                .checkpoint_dir(&dir)
-                .build();
-            let plan = FaultPlan::parse(&format!("{point}@1")).unwrap();
-            let session = Session::new(options);
-            match session.run_with_budget(
-                &case.implementation,
-                &case.spec,
-                &Budget::unlimited().with_fault_plan(plan),
-            ) {
-                Err(EcoError::InjectedAbort) => {
-                    let resumed = session
-                        .run_with_budget(&case.implementation, &case.spec, &Budget::unlimited())
-                        .unwrap_or_else(|e| {
-                            panic!("resume after {point}@1 (jobs={jobs}) failed: {e}")
-                        });
-                    assert_eq!(
-                        write_blif(&resumed.patched),
-                        reference,
-                        "resume after {point}@1 diverged (jobs={jobs})"
-                    );
-                    assert!(verify_rectification(&resumed.patched, &case.spec).unwrap());
-                }
-                other => panic!(
-                    "armed {point}@1 must reach its forced-threshold event and abort \
-                     (jobs={jobs}); got {other:?}"
-                ),
+        let dir = tmp_dir(&format!("ckpt-kill-bdd-gc-j{jobs}"));
+        let options = EcoOptions::builder()
+            .seed(0xC4EC)
+            .jobs(jobs)
+            .checkpoint_dir(&dir)
+            .build();
+        let plan = FaultPlan::parse("bdd-gc@1").unwrap();
+        let session = Session::new(options);
+        match session.run_with_budget(
+            &case.implementation,
+            &case.spec,
+            &Budget::unlimited().with_fault_plan(plan),
+        ) {
+            Err(EcoError::InjectedAbort) => {
+                let resumed = session
+                    .run_with_budget(&case.implementation, &case.spec, &Budget::unlimited())
+                    .unwrap_or_else(|e| panic!("resume after bdd-gc@1 (jobs={jobs}) failed: {e}"));
+                assert_eq!(
+                    write_blif(&resumed.patched),
+                    reference,
+                    "resume after bdd-gc@1 diverged (jobs={jobs})"
+                );
+                assert!(verify_rectification(&resumed.patched, &case.spec).unwrap());
             }
-            let _ = std::fs::remove_dir_all(&dir);
+            other => panic!(
+                "armed bdd-gc@1 must reach its forced-threshold event and abort \
+                 (jobs={jobs}); got {other:?}"
+            ),
         }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 

@@ -89,6 +89,110 @@ fn syseco_exit_code_contract() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Runs `cmd` and returns its exit code with captured stdout and stderr.
+fn run(cmd: &mut Command) -> (i32, String, String) {
+    let out = cmd.output().expect("spawn binary");
+    (
+        out.status.code().expect("terminated by signal"),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+/// Outputs declared only through `.outputs` and driven by a same-named
+/// net (no `.assign`) are real ports: `check` sees the difference and
+/// `rectify` patches it, instead of comparing zero outputs and passing.
+#[test]
+fn outputs_without_assign_are_compared_not_vacuous() {
+    let syseco = env!("CARGO_BIN_EXE_syseco");
+    let dir = std::env::temp_dir().join(format!("syseco-exit-codes-outs-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let write = |name: &str, text: &str| {
+        let path = dir.join(name);
+        std::fs::write(&path, text).unwrap();
+        path
+    };
+    let impl_path = write(
+        "impl.blif",
+        ".model impl\n.inputs a b\n.outputs o\n.gate and o a b\n.end\n",
+    );
+    let spec_path = write(
+        "spec.blif",
+        ".model spec\n.inputs a b\n.outputs o\n.gate or o a b\n.end\n",
+    );
+
+    let (rc, stdout, _) = run(Command::new(syseco)
+        .arg("check")
+        .arg(&impl_path)
+        .arg(&spec_path));
+    assert_eq!(rc, 1, "{stdout}");
+    assert!(stdout.contains("1 of 1 outputs differ"), "{stdout}");
+
+    let patched = dir.join("patched.blif");
+    let (rc, stdout, _) = run(Command::new(syseco)
+        .arg("rectify")
+        .arg(&impl_path)
+        .arg(&spec_path)
+        .args(["--seed", "3", "--out"])
+        .arg(&patched));
+    assert_eq!(rc, 0, "{stdout}");
+    assert!(stdout.contains("verification: PASS"), "{stdout}");
+    assert!(
+        stdout.contains("rewire operations"),
+        "patch must be non-empty: {stdout}"
+    );
+    let (rc, stdout, _) = run(Command::new(syseco)
+        .arg("check")
+        .arg(&patched)
+        .arg(&spec_path));
+    assert_eq!(rc, 0, "{stdout}");
+    assert!(stdout.contains("0 of 1 outputs differ"), "{stdout}");
+
+    // A declared output nothing drives is a parse error, not a port.
+    let undriven = write("undriven.blif", ".model u\n.inputs a b\n.outputs o\n.end\n");
+    let (rc, _, stderr) = run(Command::new(syseco)
+        .arg("check")
+        .arg(&undriven)
+        .arg(&spec_path));
+    assert_eq!(rc, 1);
+    assert!(stderr.contains("output \"o\" has no driver"), "{stderr}");
+    let (rc, _, stderr) = run(Command::new(syseco)
+        .arg("rectify")
+        .arg(&undriven)
+        .arg(&spec_path));
+    assert_eq!(rc, 1);
+    assert!(stderr.contains("output \"o\" has no driver"), "{stderr}");
+
+    // Differing port lists fail the check instead of comparing nothing.
+    let portless = write(
+        "portless.blif",
+        ".model p\n.inputs a b\n.gate and w a b\n.end\n",
+    );
+    let (rc, _, stderr) = run(Command::new(syseco)
+        .arg("check")
+        .arg(&portless)
+        .arg(&spec_path));
+    assert_eq!(rc, 1);
+    assert!(stderr.contains("output ports differ"), "{stderr}");
+    // Two portless designs share no output pair: an error, not a PASS.
+    let (rc, stdout, stderr) = run(Command::new(syseco)
+        .arg("check")
+        .arg(&portless)
+        .arg(&portless));
+    assert_eq!(rc, 1, "{stdout}");
+    assert!(stderr.contains("no output pairs"), "{stderr}");
+    let (rc, stdout, stderr) = run(Command::new(syseco)
+        .arg("rectify")
+        .arg(&portless)
+        .arg(&portless));
+    assert_eq!(rc, 1, "{stdout}");
+    assert!(!stdout.contains("verification: PASS"), "{stdout}");
+    assert!(stderr.contains("no output pairs"), "{stderr}");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn serve_and_load_usage_errors_are_code_2() {
     let serve = env!("CARGO_BIN_EXE_syseco-serve");

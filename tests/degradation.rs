@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 
 use eco_workload::{build_case, CaseParams, RevisionKind};
 use proptest::prelude::*;
-use syseco::{verify_rectification, EcoOptions, Syseco};
+use syseco::{verify_rectification, EcoOptions, Session};
 
 fn revision_kind() -> impl Strategy<Value = RevisionKind> {
     prop_oneof![
@@ -57,8 +57,8 @@ proptest! {
         let mut options = EcoOptions::with_seed(params.seed ^ 0xD06);
         options.timeout = Some(deadline);
         let t0 = Instant::now();
-        let result = Syseco::new(options)
-            .rectify(&case.implementation, &case.spec)
+        let result = Session::new(options)
+            .run(&case.implementation, &case.spec)
             .expect("a governed run degrades instead of failing");
         let elapsed = t0.elapsed();
         // "Within ~2x the deadline": the grace term absorbs the final
@@ -102,8 +102,8 @@ proptest! {
             aggressive_optimization: false,
         };
         let case = build_case(&params);
-        let result = Syseco::new(EcoOptions::with_seed(seed))
-            .rectify(&case.implementation, &case.spec)
+        let result = Session::new(EcoOptions::with_seed(seed))
+            .run(&case.implementation, &case.spec)
             .expect("rectification succeeds");
         prop_assert!(result.rectify.degradations.is_empty());
         prop_assert!(verify_rectification(&result.patched, &case.spec).unwrap());

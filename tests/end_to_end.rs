@@ -7,7 +7,7 @@ use common::revise;
 use eco_synth::lower::synthesize;
 use eco_synth::opt::{optimize, OptOptions};
 use eco_workload::RevisionKind;
-use syseco::{verify_rectification, EcoOptions, Syseco};
+use syseco::{verify_rectification, EcoOptions, Session};
 
 fn run_kind(kind: RevisionKind, heavy: bool) {
     let (original, revised) = revise(kind, 0xE2E);
@@ -20,9 +20,9 @@ fn run_kind(kind: RevisionKind, heavy: bool) {
     optimize(&mut implementation, &opt).expect("optimizes");
     let spec = synthesize(&revised).expect("elaborates");
 
-    let engine = Syseco::new(EcoOptions::with_seed(kind as u64 + 1));
+    let engine = Session::new(EcoOptions::with_seed(kind as u64 + 1));
     let result = engine
-        .rectify(&implementation, &spec)
+        .run(&implementation, &spec)
         .unwrap_or_else(|e| panic!("{kind:?}: rectification failed: {e}"));
     assert!(
         verify_rectification(&result.patched, &spec).unwrap(),
@@ -79,8 +79,8 @@ fn single_bit_revision_yields_tiny_patch() {
     let mut implementation = synthesize(&original).expect("elaborates");
     optimize(&mut implementation, &OptOptions::heavy(23)).expect("optimizes");
     let spec = synthesize(&revised).expect("elaborates");
-    let result = Syseco::new(EcoOptions::with_seed(5))
-        .rectify(&implementation, &spec)
+    let result = Session::new(EcoOptions::with_seed(5))
+        .run(&implementation, &spec)
         .expect("rectifies");
     assert!(verify_rectification(&result.patched, &spec).unwrap());
     assert_eq!(

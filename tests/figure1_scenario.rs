@@ -7,7 +7,7 @@
 
 use eco_synth::lower::synthesize;
 use eco_synth::rtl::{RtlModule, WordExpr as E};
-use syseco::{verify_rectification, EcoOptions, Syseco};
+use syseco::{verify_rectification, EcoOptions, Session};
 
 const WIDTH: u32 = 4;
 
@@ -48,8 +48,8 @@ fn figure1_rectification_preserves_sibling_signal() {
     let implementation = synthesize(&module(false)).expect("elaborates");
     let spec = synthesize(&module(true)).expect("elaborates");
 
-    let engine = Syseco::new(EcoOptions::with_seed(0xF16));
-    let result = engine.rectify(&implementation, &spec).expect("rectifies");
+    let engine = Session::new(EcoOptions::with_seed(0xF16));
+    let result = engine.run(&implementation, &spec).expect("rectifies");
 
     // Full equivalence against the revised specification.
     assert!(verify_rectification(&result.patched, &spec).unwrap());
@@ -80,9 +80,9 @@ fn figure1_rectification_preserves_sibling_signal() {
 fn figure1_patch_is_deterministic() {
     let implementation = synthesize(&module(false)).expect("elaborates");
     let spec = synthesize(&module(true)).expect("elaborates");
-    let engine = Syseco::new(EcoOptions::with_seed(7));
-    let r1 = engine.rectify(&implementation, &spec).expect("rectifies");
-    let r2 = engine.rectify(&implementation, &spec).expect("rectifies");
+    let engine = Session::new(EcoOptions::with_seed(7));
+    let r1 = engine.run(&implementation, &spec).expect("rectifies");
+    let r2 = engine.run(&implementation, &spec).expect("rectifies");
     assert_eq!(r1.stats, r2.stats);
     assert_eq!(r1.patch.rewires(), r2.patch.rewires());
 }

@@ -174,15 +174,15 @@ fn prefilter_screen_is_sound_across_two_hundred_scenarios() {
 /// passed candidates consume SAT-validation slots.
 #[test]
 fn prefilter_counters_reconcile_with_search_accounting() {
-    use syseco::{EcoOptions, Syseco};
+    use syseco::{EcoOptions, Session};
 
     let config = ScenarioConfig::default();
     let mut screened_anywhere = 0u64;
     for i in 0..25u64 {
         let seed = iteration_seed(0xC0FFEE, i);
         let sc = generate(seed, &config).expect("scenario generates");
-        let result = Syseco::new(EcoOptions::with_seed(seed ^ 1))
-            .rectify(&sc.implementation, &sc.spec)
+        let result = Session::new(EcoOptions::with_seed(seed ^ 1))
+            .run(&sc.implementation, &sc.spec)
             .expect("rectification succeeds");
         let st = &result.rectify;
         assert!(

@@ -6,7 +6,7 @@
 use std::time::{Duration, Instant};
 
 use eco_workload::{build_case, CaseParams, RevisionKind};
-use syseco::{verify_rectification, EcoOptions, Syseco};
+use syseco::{verify_rectification, EcoOptions, Session};
 
 /// A fast multi-output case: three revised words of width 3 give nine
 /// failing bit-outputs for the pool to schedule.
@@ -40,8 +40,8 @@ fn tiny_deadline_with_parallel_workers_degrades_instead_of_deadlocking() {
         .timeout(deadline)
         .build();
     let t0 = Instant::now();
-    let result = Syseco::new(options)
-        .rectify(&case.implementation, &case.spec)
+    let result = Session::new(options)
+        .run(&case.implementation, &case.spec)
         .expect("a governed parallel run degrades instead of failing");
     let elapsed = t0.elapsed();
     assert!(
@@ -71,7 +71,7 @@ fn tiny_deadline_with_parallel_workers_degrades_instead_of_deadlocking() {
 #[cfg(feature = "fault-injection")]
 #[test]
 fn injected_worker_panic_degrades_only_that_cone() {
-    use syseco::{Budget, DegradeReason, FaultPolicy, Syseco};
+    use syseco::{Budget, DegradeReason, FaultPolicy};
 
     let case = multi_output_case();
     let options = EcoOptions::builder().seed(0x5EED).jobs(4).build();
@@ -81,8 +81,8 @@ fn injected_worker_panic_degrades_only_that_cone() {
         panic_at: Some(2),
         ..FaultPolicy::default()
     });
-    let result = Syseco::new(options)
-        .rectify_with_budget(&case.implementation, &case.spec, &budget)
+    let result = Session::new(options)
+        .run_with_budget(&case.implementation, &case.spec, &budget)
         .expect("a panicking worker degrades its cone, not the run");
     let panicked: Vec<_> = result
         .rectify

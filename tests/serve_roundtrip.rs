@@ -390,3 +390,44 @@ fn shutdown_frame_drains_queued_jobs_and_stops_the_daemon() {
     );
     let _ = std::fs::remove_dir_all(&daemon.root);
 }
+
+/// The daemon parses client BLIF with the same reader as the CLI: a port
+/// declared only in `.outputs` and driven by its same-named net is
+/// compared and patched, an undriven declared output fails the job with a
+/// parse error, and a pair without output ports fails instead of passing.
+#[test]
+fn outputs_without_assign_are_rectified_and_undriven_outputs_fail() {
+    const IMPL: &str = ".model impl\n.inputs a b\n.outputs o\n.gate and o a b\n.end\n";
+    const SPEC: &str = ".model spec\n.inputs a b\n.outputs o\n.gate or o a b\n.end\n";
+    const UNDRIVEN: &str = ".model u\n.inputs a b\n.outputs o\n.end\n";
+    const PORTLESS: &str = ".model p\n.inputs a b\n.gate and w a b\n.end\n";
+    let daemon = Daemon::start("outputs", 1, patient());
+    let mut client = Client::connect(&daemon.addr).unwrap();
+    let mut submit = |impl_blif: &str, spec_blif: &str| {
+        let mut request = JobRequest::new("tenant", impl_blif, spec_blif);
+        request.seed = 3;
+        let id = accept(client.submit(&request).unwrap());
+        client.wait_done(id).unwrap()
+    };
+
+    let done = submit(IMPL, SPEC);
+    assert_eq!(done.status, JobStatus::Completed, "{}", done.detail);
+    let spec = eco_netlist::read_blif(SPEC).unwrap();
+    let implementation = eco_netlist::read_blif(IMPL).unwrap();
+    assert!(!syseco::verify_rectification(&implementation, &spec).unwrap());
+    let patched = eco_netlist::read_blif(&done.patch_blif).unwrap();
+    assert!(syseco::verify_rectification(&patched, &spec).unwrap());
+
+    let done = submit(UNDRIVEN, SPEC);
+    assert_eq!(done.status, JobStatus::Failed);
+    assert!(
+        done.detail.contains("output \"o\" has no driver"),
+        "{}",
+        done.detail
+    );
+
+    let done = submit(PORTLESS, PORTLESS);
+    assert_eq!(done.status, JobStatus::Failed);
+    assert!(done.detail.contains("no output pairs"), "{}", done.detail);
+    daemon.stop();
+}

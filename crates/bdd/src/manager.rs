@@ -75,8 +75,7 @@ pub type EventHook = Box<dyn FnMut(BddEvent) -> Result<(), BddError> + Send>;
 /// cache lookup that fell through to the recursive computation (terminal
 /// short-circuits count as neither). Counters are cumulative since manager
 /// creation or the last [`BddManager::reset_counters`], and deterministic
-/// for a deterministic operation sequence — summing them across independent
-/// managers is therefore order-insensitive.
+/// for a deterministic operation sequence.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BddCounters {
     /// Apply-cache (AND/XOR; OR and IFF derive via complement) hits.
@@ -101,33 +100,6 @@ pub struct BddCounters {
     pub gc_runs: u64,
     /// Nodes reclaimed by garbage collection.
     pub gc_freed_nodes: u64,
-}
-
-impl BddCounters {
-    /// Total cache hits across every operation cache.
-    pub fn total_hits(&self) -> u64 {
-        self.apply_hits + self.ite_hits + self.quant_hits
-    }
-
-    /// Total cache misses across every operation cache.
-    pub fn total_misses(&self) -> u64 {
-        self.apply_misses + self.ite_misses + self.quant_misses
-    }
-}
-
-impl std::ops::AddAssign for BddCounters {
-    fn add_assign(&mut self, rhs: BddCounters) {
-        self.apply_hits += rhs.apply_hits;
-        self.apply_misses += rhs.apply_misses;
-        self.ite_hits += rhs.ite_hits;
-        self.ite_misses += rhs.ite_misses;
-        self.quant_hits += rhs.quant_hits;
-        self.quant_misses += rhs.quant_misses;
-        self.unique_resizes += rhs.unique_resizes;
-        self.evictions += rhs.evictions;
-        self.gc_runs += rhs.gc_runs;
-        self.gc_freed_nodes += rhs.gc_freed_nodes;
-    }
 }
 
 /// Entry counts of a [`BddManager`]'s operation caches at one instant.
@@ -1113,30 +1085,6 @@ mod tests {
         assert_eq!(levels.len(), 3);
         assert_eq!(levels.iter().sum::<usize>(), m.num_nodes() - 1);
         assert!(levels.iter().all(|&c| c > 0));
-    }
-
-    #[test]
-    fn counters_fold_with_add_assign() {
-        let mut total = BddCounters::default();
-        total += BddCounters {
-            apply_hits: 1,
-            apply_misses: 2,
-            ..BddCounters::default()
-        };
-        total += BddCounters {
-            apply_hits: 10,
-            quant_misses: 3,
-            gc_runs: 2,
-            gc_freed_nodes: 7,
-            ..BddCounters::default()
-        };
-        assert_eq!(total.apply_hits, 11);
-        assert_eq!(total.apply_misses, 2);
-        assert_eq!(total.quant_misses, 3);
-        assert_eq!(total.gc_runs, 2);
-        assert_eq!(total.gc_freed_nodes, 7);
-        assert_eq!(total.total_hits(), 11);
-        assert_eq!(total.total_misses(), 5);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use eco_timing::{DelayModel, TimingReport};
 use eco_workload::{build_case, CaseParams, EcoCase, RevisionKind};
-use syseco::{verify_rectification, EcoOptions, Session};
+use syseco::{verify_rectification, Counter, EcoOptions, Session};
 
 /// Result of one ablation configuration.
 #[derive(Debug, Clone)]
@@ -47,12 +47,13 @@ fn run_config(case: &EcoCase, options: &EcoOptions, label: String) -> AblationPo
     let slack = TimingReport::analyze(&result.patched, &model, period)
         .expect("acyclic")
         .worst_slack();
+    let count = |c: Counter| result.rectify.counters[c] as usize;
     AblationPoint {
         label,
-        refinements: result.rectify.refinements,
-        validations: result.rectify.validations,
-        fallbacks: result.rectify.fallbacks,
-        rewired: result.rectify.rewire_rectified,
+        refinements: count(Counter::RectifyRefinements),
+        validations: count(Counter::RectifyValidations),
+        fallbacks: count(Counter::RectifyFallbacks),
+        rewired: count(Counter::RectifyRewired),
         patch_gates: result.stats.gates,
         runtime: result.runtime,
         slack,

@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 
 use eco_netlist::write_blif;
 use eco_workload::EcoCase;
-use syseco::{CacheMode, EcoOptions, EcoResult, Session};
+use syseco::{CacheMode, Counter, EcoOptions, EcoResult, Session};
 
 const RUNS: usize = 3;
 const SEED: u64 = 17;
@@ -67,13 +67,15 @@ fn main() {
         .map(|case| write_blif(&rectify(case, None, CacheMode::Off).patched))
         .collect();
 
+    let hits = |r: &EcoResult| r.rectify.counters[Counter::CacheHits];
+
     // Cold passes: each starts from an empty directory and populates it.
     let mut cold_samples = Vec::new();
     let mut first_visit_hits = 0u64;
     for _ in 0..RUNS {
         let _ = std::fs::remove_dir_all(&dir);
         let (elapsed, results) = pass(&cases, &dir);
-        first_visit_hits = results.iter().map(|r| r.rectify.cache_hits).sum();
+        first_visit_hits = results.iter().map(hits).sum();
         for (r, blif) in results.iter().zip(&reference) {
             assert_eq!(&write_blif(&r.patched), blif, "cold patch differs");
         }
@@ -86,11 +88,14 @@ fn main() {
     let mut warm_misses = 0u64;
     for _ in 0..RUNS {
         let (elapsed, results) = pass(&cases, &dir);
-        warm_hits = results.iter().map(|r| r.rectify.cache_hits).sum();
-        warm_misses = results.iter().map(|r| r.rectify.cache_misses).sum();
+        warm_hits = results.iter().map(hits).sum();
+        warm_misses = results
+            .iter()
+            .map(|r| r.rectify.counters[Counter::CacheMisses])
+            .sum();
         for (step, (r, blif)) in results.iter().zip(&reference).enumerate() {
             assert_eq!(&write_blif(&r.patched), blif, "warm patch differs");
-            assert!(r.rectify.cache_hits > 0, "step {step} did not hit");
+            assert!(hits(r) > 0, "step {step} did not hit");
         }
         warm_samples.push(elapsed);
     }
@@ -101,10 +106,11 @@ fn main() {
     let _ = std::fs::remove_dir_all(&off_dir);
     let off = rectify(&cases[0], Some(&off_dir), CacheMode::Off);
     assert!(!off_dir.exists(), "cache=off created {}", off_dir.display());
-    assert_eq!(off.rectify.cache_hits, 0);
-    assert_eq!(off.rectify.cache_misses, 0);
-    assert_eq!(off.rectify.cache_verify_rejects, 0);
-    assert_eq!(off.rectify.cache_corrupt_segments, 0);
+    let off_counts = &off.rectify.counters;
+    assert_eq!(off_counts[Counter::CacheHits], 0);
+    assert_eq!(off_counts[Counter::CacheMisses], 0);
+    assert_eq!(off_counts[Counter::CacheVerifyRejects], 0);
+    assert_eq!(off_counts[Counter::CacheCorruptSegments], 0);
     assert_eq!(write_blif(&off.patched), reference[0]);
 
     cold_samples.sort();

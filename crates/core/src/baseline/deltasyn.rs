@@ -18,6 +18,7 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use eco_netlist::{topo, Circuit, GateKind, NetId, Pin};
+use eco_telemetry::Counter;
 
 use crate::correspond::Correspondence;
 use crate::engine::{name_spec_inputs, normalize_ports, EcoResult};
@@ -137,7 +138,7 @@ pub fn rectify(implementation: &Circuit, spec: &Circuit) -> Result<EcoResult, Ec
             new_net,
             from_spec: true,
         });
-        stats.fallbacks += 1;
+        stats.counters.add(Counter::RectifyFallbacks, 1);
     }
     patched.sweep();
     let pstats = patch.stats(&patched);

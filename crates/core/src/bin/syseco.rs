@@ -34,7 +34,7 @@
 //! `--trace-out FILE` records structured spans and writes them on exit:
 //! Chrome trace-event JSON (load in `chrome://tracing` or Perfetto) by
 //! default, span-per-line JSONL when `FILE` ends in `.jsonl`.
-//! `--metrics-out FILE` writes the folded metrics registry (SAT conflict
+//! `--metrics-out FILE` writes the metrics registry (SAT conflict
 //! counts, BDD cache hit rates, search/validate timing histograms) as
 //! JSON. `--report-out FILE` renders the deterministic markdown run
 //! report (DESIGN.md §14) directly from the run's spans and metrics.
@@ -65,7 +65,7 @@ use syseco::error_domain::{classify_outputs, Equivalence};
 use syseco::telemetry::export::{chrome_trace, metrics_json, openmetrics, spans_jsonl};
 use syseco::telemetry::profile::{parse_spans_jsonl, Profile};
 use syseco::telemetry::report::{parse_metrics_json, render, MetricsDoc, ReportOptions};
-use syseco::{Budget, EcoOptions, ProgressEvent, Session, Telemetry};
+use syseco::{Budget, Counter, EcoOptions, ProgressEvent, Session, Telemetry};
 
 fn load(path: &str) -> Result<Circuit, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
@@ -433,17 +433,21 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             }
             println!("engine {engine_name} finished in {:?}", result.runtime);
             if cache_dir.is_some() {
-                let r = &result.rectify;
+                let r = &result.rectify.counters;
                 println!(
                     "cache: {} hit(s), {} miss(es), {} verify-reject(s), {} corrupt segment(s)",
-                    r.cache_hits, r.cache_misses, r.cache_verify_rejects, r.cache_corrupt_segments
+                    r[Counter::CacheHits],
+                    r[Counter::CacheMisses],
+                    r[Counter::CacheVerifyRejects],
+                    r[Counter::CacheCorruptSegments]
                 );
             }
             if checkpoint_dir.is_some() {
-                let r = &result.rectify;
+                let r = &result.rectify.counters;
                 println!(
                     "checkpoint: {} output(s) resumed, {} record(s) written",
-                    r.checkpoint_hits, r.checkpoint_writes
+                    r[Counter::CheckpointHits],
+                    r[Counter::CheckpointWrites]
                 );
             }
             print!(

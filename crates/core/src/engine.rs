@@ -6,7 +6,7 @@ use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use eco_netlist::{Circuit, NetId};
-use eco_telemetry::{ArgValue, Counter, SpanRecord, Telemetry};
+use eco_telemetry::{ArgValue, Counter, Counters, SpanRecord, Telemetry};
 
 use crate::budget::Budget;
 use crate::checkpoint::CheckpointSession;
@@ -44,7 +44,31 @@ pub struct EcoResult {
 /// The full engine flow with an explicit observer and telemetry sink —
 /// the body behind
 /// [`Session::run_with_budget`](crate::Session::run_with_budget).
+///
+/// This is the one place a run's counters reach telemetry: the finished
+/// run publishes [`RectifyStats::counters`] whole, so the metrics snapshot
+/// and the returned stats cannot disagree. A run that errors publishes
+/// nothing.
 pub(crate) fn rectify_with(
+    options: &EcoOptions,
+    implementation: &Circuit,
+    spec: &Circuit,
+    budget: &Budget,
+    observer: Option<&ProgressCallback>,
+    telemetry: &Telemetry,
+) -> Result<EcoResult, EcoError> {
+    let mut result = run_engine(options, implementation, spec, budget, observer, telemetry)?;
+    result
+        .rectify
+        .counters
+        .add(Counter::FaultInjections, budget.faults_fired());
+    telemetry.shard().add_all(&result.rectify.counters);
+    Ok(result)
+}
+
+/// [`rectify_with`] before publication: a cache replay when a record
+/// verifies, the cold search otherwise.
+fn run_engine(
     options: &EcoOptions,
     implementation: &Circuit,
     spec: &Circuit,
@@ -67,9 +91,7 @@ pub(crate) fn rectify_with(
     let mut replay_rejects = 0u64;
     if let Some(session) = cache.as_mut() {
         if let Some(record) = session.run_record() {
-            match replay_run(
-                options, &patched, spec, &record, budget, telemetry, start, session,
-            ) {
+            match replay_run(options, &patched, spec, &record, budget, start, session) {
                 Some(result) => return Ok(result),
                 None => replay_rejects = 1,
             }
@@ -114,32 +136,15 @@ pub(crate) fn rectify_with(
     }
     patched.sweep();
     let stats = patch.stats(&patched);
-    rectify.cache_verify_rejects += replay_rejects;
+    rectify
+        .counters
+        .add(Counter::CacheVerifyRejects, replay_rejects);
     if let Some(session) = cache.as_mut() {
         session.record_run(&committed, &rectify);
         // A commit failure loses warm-start data for future runs, never
         // this run's result.
         let _ = session.commit();
-        rectify.cache_misses = session.misses;
-        // `+=`: the checkpoint store's counters are already folded in.
-        rectify.cache_corrupt_segments += session.corrupt_segments();
-        rectify.cache_io_errors += session.io_errors();
-        rectify.cache_retries += session.retries();
-        let shard = telemetry.shard();
-        if shard.is_enabled() {
-            shard.add(Counter::CacheMisses, session.misses);
-            shard.add(Counter::CacheVerifyRejects, replay_rejects);
-        }
-    }
-    let shard = telemetry.shard();
-    if shard.is_enabled() {
-        shard.add(
-            Counter::CacheCorruptSegments,
-            rectify.cache_corrupt_segments,
-        );
-        shard.add(Counter::CacheIoErrors, rectify.cache_io_errors);
-        shard.add(Counter::CacheRetries, rectify.cache_retries);
-        shard.add(Counter::FaultInjections, budget.faults_fired());
+        count_cache(&mut rectify.counters, session);
     }
     Ok(EcoResult {
         stats,
@@ -151,6 +156,15 @@ pub(crate) fn rectify_with(
     })
 }
 
+/// Adds the cache store's own counters (misses and I/O health) to
+/// `counters`.
+fn count_cache(counters: &mut Counters, session: &CacheSession) {
+    counters.add(Counter::CacheMisses, session.misses);
+    counters.add(Counter::CacheCorruptSegments, session.corrupt_segments());
+    counters.add(Counter::CacheIoErrors, session.io_errors());
+    counters.add(Counter::CacheRetries, session.retries());
+}
+
 /// Attempts to reproduce a finished run from its cache record: applies
 /// the committed rewire groups in order, reruns the deterministic
 /// post-processing, and accepts only when a full equivalence check
@@ -159,14 +173,12 @@ pub(crate) fn rectify_with(
 /// circuit mutation and the post-processing is seeded). Returns `None`
 /// on any mismatch — apply error, damaged verification, budget-unknown
 /// verdicts — and the caller falls back to the cold path.
-#[allow(clippy::too_many_arguments)]
 fn replay_run(
     options: &EcoOptions,
     base: &Circuit,
     spec: &Circuit,
     record: &RunRecord,
     budget: &Budget,
-    telemetry: &Telemetry,
     start: Instant,
     session: &mut CacheSession,
 ) -> Option<EcoResult> {
@@ -208,26 +220,17 @@ fn replay_run(
     {
         return None;
     }
+    let mut counters = Counters::default();
+    counters.add(Counter::RectifyRewired, record.rewire_rectified as u64);
+    counters.add(Counter::RectifyFallbacks, record.fallbacks as u64);
+    counters.add(Counter::CacheHits, 1);
+    count_cache(&mut counters, session);
     let rectify = RectifyStats {
         outputs_total: record.outputs_total,
         outputs_failing: record.outputs_failing,
-        rewire_rectified: record.rewire_rectified,
-        fallbacks: record.fallbacks,
-        cache_hits: 1,
-        cache_misses: session.misses,
-        cache_corrupt_segments: session.corrupt_segments(),
-        cache_io_errors: session.io_errors(),
-        cache_retries: session.retries(),
+        counters,
         ..Default::default()
     };
-    let shard = telemetry.shard();
-    if shard.is_enabled() {
-        shard.add(Counter::CacheHits, 1);
-        shard.add(Counter::CacheMisses, session.misses);
-        shard.add(Counter::CacheCorruptSegments, session.corrupt_segments());
-        shard.add(Counter::CacheIoErrors, session.io_errors());
-        shard.add(Counter::CacheRetries, session.retries());
-    }
     let stats = patch.stats(&patched);
     Some(EcoResult {
         stats,

@@ -534,8 +534,8 @@ pub mod chaos {
         let run = catch_unwind(AssertUnwindSafe(|| {
             session.run_with_budget(implementation, spec, budget)
         }));
-        // Taking a metrics snapshot after the run proves no registry lock
-        // was left poisoned by an injected panic.
+        // Taking a metrics snapshot after the run proves the registry
+        // survived an injected panic.
         let snapshot = catch_unwind(AssertUnwindSafe(|| session.metrics_snapshot()));
         if snapshot.is_err() {
             out.push(disagree(

@@ -118,4 +118,4 @@ pub use service::EngineRunner;
 /// [`telemetry::export::spans_jsonl`], [`telemetry::export::chrome_trace`],
 /// or [`telemetry::export::metrics_json`].
 pub use eco_telemetry as telemetry;
-pub use eco_telemetry::{MetricsSnapshot, SpanRecord, Telemetry};
+pub use eco_telemetry::{Counter, Counters, Gauge, MetricsSnapshot, SpanRecord, Telemetry};

@@ -23,6 +23,7 @@
 
 use eco_cache::{circuit_sig, fingerprint_words, hash_str, node_hashes, ConeWalk, Sig128, Store};
 use eco_netlist::{Circuit, NetId, NetlistError, Pin};
+use eco_telemetry::Counter;
 
 use crate::budget::Budget;
 use crate::correspond::OutputPair;
@@ -379,8 +380,8 @@ fn encode_run_record(groups: &[Vec<CandidateRewire>], stats: &RectifyStats) -> V
     let mut buf = vec![PAYLOAD_VERSION];
     put_u32(&mut buf, stats.outputs_total as u32);
     put_u32(&mut buf, stats.outputs_failing as u32);
-    put_u32(&mut buf, stats.rewire_rectified as u32);
-    put_u32(&mut buf, stats.fallbacks as u32);
+    put_u32(&mut buf, stats.counters[Counter::RectifyRewired] as u32);
+    put_u32(&mut buf, stats.counters[Counter::RectifyFallbacks] as u32);
     put_u32(&mut buf, groups.len() as u32);
     for group in groups {
         put_u32(&mut buf, group.len() as u32);
@@ -520,13 +521,13 @@ mod tests {
         let spec = tiny();
         let root = spec.outputs()[0].net();
         let groups = vec![sample_group(root), vec![]];
-        let stats = RectifyStats {
+        let mut stats = RectifyStats {
             outputs_total: 3,
             outputs_failing: 2,
-            rewire_rectified: 1,
-            fallbacks: 1,
             ..RectifyStats::default()
         };
+        stats.counters.add(Counter::RectifyRewired, 1);
+        stats.counters.add(Counter::RectifyFallbacks, 1);
         let payload = encode_run_record(&groups, &stats);
         let decoded = decode_run_record(&payload).unwrap();
         assert_eq!(decoded.outputs_total, 3);

@@ -33,11 +33,11 @@ use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
-use eco_bdd::{Bdd, BddCounters, BddError, BddManager};
+use eco_bdd::{Bdd, BddError, BddManager};
 use eco_netlist::{topo, Circuit, NetId, Pin};
 use eco_sat::SolverStats;
 use eco_telemetry::{
-    ArgValue, Counter, Gauge, Histogram, MetricsShard, SpanRecord, Telemetry, TraceBuffer,
+    ArgValue, Counter, Counters, Gauge, Histogram, MetricsShard, SpanRecord, Telemetry, TraceBuffer,
 };
 use eco_timing::{DelayModel, TimingReport};
 use rand::rngs::SmallRng;
@@ -83,32 +83,14 @@ pub struct OutputTiming {
     pub action: OutputAction,
 }
 
-/// Counters describing a rectification run.
+/// What a rectification run did: its outputs, degradations, per-output
+/// outcomes, and every count of the run.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RectifyStats {
     /// Matched output pairs.
     pub outputs_total: usize,
     /// Pairs initially non-equivalent.
     pub outputs_failing: usize,
-    /// Outputs rectified through non-trivial rewiring search.
-    pub rewire_rectified: usize,
-    /// Outputs that needed the output-rewire fallback.
-    pub fallbacks: usize,
-    /// Sampling-domain refinements (false positives encountered) — the
-    /// metric behind ablations A and B.
-    pub refinements: usize,
-    /// SAT validation calls.
-    pub validations: usize,
-    /// Feasible point-sets examined.
-    pub point_sets_tried: usize,
-    /// Rewiring choices examined.
-    pub choices_tried: usize,
-    /// Candidates the bit-parallel simulation pre-filter proved invalid
-    /// before they could consume a SAT-validation slot.
-    pub prefilter_screened: usize,
-    /// Candidates that survived the pre-filter and went on to SAT
-    /// validation.
-    pub prefilter_passed: usize,
     /// Outputs whose search was cut short (budget exhaustion, resource
     /// limits, panics), with the recovery taken for each. Empty on a clean
     /// run; every listed output is still rectified, just less thoroughly
@@ -117,56 +99,21 @@ pub struct RectifyStats {
     /// One entry per rectified output, in merge order: search wall-clock
     /// and the action taken.
     pub per_output: Vec<OutputTiming>,
-    /// SAT conflicts across detection, search, validation, and rechecks.
+    /// Every counter and gauge of the run, indexed by [`Counter`] and
+    /// [`Gauge`]: SAT effort across detection, search, validation and
+    /// rechecks; BDD cache traffic and peaks; search work (refinements —
+    /// the metric behind ablations A and B — validations, point-sets,
+    /// choices, pre-filter verdicts); outcomes (rewired, fallbacks,
+    /// degradations, merge conflicts); cache, checkpoint and fault
+    /// activity.
     ///
-    /// Like every counter here, deterministic for a given seed and input —
-    /// independent of `jobs` — because each solver instance sees a
-    /// deterministic query sequence and sums commute.
-    pub sat_conflicts: u64,
-    /// SAT decisions (same scope as [`sat_conflicts`](Self::sat_conflicts)).
-    pub sat_decisions: u64,
-    /// SAT propagations (same scope).
-    pub sat_propagations: u64,
-    /// SAT Luby restarts (same scope).
-    pub sat_restarts: u64,
-    /// SAT learnt clauses (same scope).
-    pub sat_learnt_clauses: u64,
-    /// SAT learnt literals across every learnt clause (same scope).
-    pub sat_learnt_literals: u64,
-    /// BDD operation-cache hits/misses summed over every per-output manager.
-    pub bdd: BddCounters,
-    /// Largest node count any single BDD manager reached.
-    pub bdd_peak_nodes: usize,
-    /// Persistent-cache records reused after passing re-verification: a
-    /// whole-run replay counts one, each reused per-output proposal counts
-    /// one (DESIGN.md §11). Zero when no cache directory is configured.
-    pub cache_hits: u64,
-    /// Persistent-cache lookups that found nothing usable.
-    pub cache_misses: u64,
-    /// Persistent-cache records found but discarded because re-verification
-    /// (SAT validation or the replay equivalence check) rejected them —
-    /// stale entries cost time, never correctness.
-    pub cache_verify_rejects: u64,
-    /// Damaged cache segments skipped when the store was opened (cache and
-    /// checkpoint stores combined). Checksum damage is *permanent*: the
-    /// segment is discarded, unlike the transient failures counted by
-    /// [`cache_io_errors`](Self::cache_io_errors).
-    pub cache_corrupt_segments: u64,
-    /// Cache/checkpoint I/O operations that kept failing after every
-    /// bounded retry and were given up on (DESIGN.md §13). Distinct from
-    /// corruption: the bytes on disk may be fine, the I/O just failed.
-    pub cache_io_errors: u64,
-    /// Transient cache/checkpoint I/O failures absorbed by retry-with-
-    /// backoff — the operation eventually succeeded or was abandoned; each
-    /// retry attempt counts once.
-    pub cache_retries: u64,
-    /// Per-output search results resumed from the checkpoint directory
-    /// instead of searched (always re-verified downstream). Zero without
-    /// [`EcoOptions::checkpoint_dir`].
-    pub checkpoint_hits: u64,
-    /// Per-output search results durably persisted to the checkpoint
-    /// directory as their searches completed.
-    pub checkpoint_writes: u64,
+    /// Deterministic for a given seed and input — independent of `jobs` —
+    /// because each solver and manager sees a deterministic query sequence
+    /// and sums commute. A [`Session`](crate::Session) publishes exactly
+    /// this block to its telemetry, so
+    /// [`Session::metrics_snapshot`](crate::Session::metrics_snapshot)
+    /// agrees with it.
+    pub counters: Counters,
 }
 
 impl RectifyStats {
@@ -188,25 +135,6 @@ macro_rules! trace {
             eprintln!("[syseco] {}", format!($($arg)*));
         }
     };
-}
-
-/// Worker-local counters folded into [`RectifyStats`] in merge order.
-#[derive(Debug, Default)]
-struct SearchStats {
-    refinements: usize,
-    validations: usize,
-    point_sets_tried: usize,
-    choices_tried: usize,
-    prefilter_screened: usize,
-    prefilter_passed: usize,
-    sat: SolverStats,
-    bdd: BddCounters,
-    bdd_peak_nodes: usize,
-    bdd_unique_entries: usize,
-    /// Memoized proposals that re-validated and were returned directly.
-    cache_hits: u64,
-    /// Memoized proposals that failed re-validation against this spec.
-    cache_verify_rejects: u64,
 }
 
 /// What one per-output search concluded, without mutating anything.
@@ -270,7 +198,7 @@ pub(crate) type CommittedRectification = (
 /// One search outcome plus its local counters, trace, and wall-clock.
 struct SearchResult {
     verdict: SearchVerdict,
-    stats: SearchStats,
+    counters: Counters,
     search: Duration,
     trace: TraceBuffer,
     /// Refinement counterexamples hit during the search, recorded so a
@@ -355,58 +283,32 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Folds one coordinator-side SAT effort reading into the run stats and the
-/// metrics shard.
-fn note_sat(stats: &mut RectifyStats, shard: &MetricsShard, s: SolverStats) {
-    stats.sat_conflicts += s.conflicts;
-    stats.sat_decisions += s.decisions;
-    stats.sat_propagations += s.propagations;
-    stats.sat_restarts += s.restarts;
-    stats.sat_learnt_clauses += s.learnt_clauses;
-    stats.sat_learnt_literals += s.learnt_literals;
-    if shard.is_enabled() {
-        shard.add(Counter::SatConflicts, s.conflicts);
-        shard.add(Counter::SatDecisions, s.decisions);
-        shard.add(Counter::SatPropagations, s.propagations);
-        shard.add(Counter::SatRestarts, s.restarts);
-        shard.add(Counter::SatLearntClauses, s.learnt_clauses);
-        shard.add(Counter::SatLearntLiterals, s.learnt_literals);
-    }
+/// Adds one SAT effort reading to `counters`.
+fn count_sat(counters: &mut Counters, s: SolverStats) {
+    counters.add(Counter::SatConflicts, s.conflicts);
+    counters.add(Counter::SatDecisions, s.decisions);
+    counters.add(Counter::SatPropagations, s.propagations);
+    counters.add(Counter::SatRestarts, s.restarts);
+    counters.add(Counter::SatLearntClauses, s.learnt_clauses);
+    counters.add(Counter::SatLearntLiterals, s.learnt_literals);
 }
 
-/// Flushes one finished search's local counters into a worker shard: a
-/// handful of relaxed atomic adds at search end, nothing on the hot path.
-fn flush_search_metrics(shard: &MetricsShard, s: &SearchStats, search: Duration) {
-    if !shard.is_enabled() {
-        return;
-    }
-    shard.add(Counter::SatConflicts, s.sat.conflicts);
-    shard.add(Counter::SatDecisions, s.sat.decisions);
-    shard.add(Counter::SatPropagations, s.sat.propagations);
-    shard.add(Counter::SatRestarts, s.sat.restarts);
-    shard.add(Counter::SatLearntClauses, s.sat.learnt_clauses);
-    shard.add(Counter::SatLearntLiterals, s.sat.learnt_literals);
-    shard.add(Counter::BddApplyHits, s.bdd.apply_hits);
-    shard.add(Counter::BddApplyMisses, s.bdd.apply_misses);
-    shard.add(Counter::BddIteHits, s.bdd.ite_hits);
-    shard.add(Counter::BddIteMisses, s.bdd.ite_misses);
-    shard.add(Counter::BddQuantHits, s.bdd.quant_hits);
-    shard.add(Counter::BddQuantMisses, s.bdd.quant_misses);
-    shard.add(Counter::BddUniqueResizes, s.bdd.unique_resizes);
-    shard.add(Counter::BddEvictions, s.bdd.evictions);
-    shard.add(Counter::BddGcRuns, s.bdd.gc_runs);
-    shard.add(Counter::BddGcFreed, s.bdd.gc_freed_nodes);
-    shard.add(Counter::RectifyRefinements, s.refinements as u64);
-    shard.add(Counter::RectifyValidations, s.validations as u64);
-    shard.add(Counter::RectifyPointSets, s.point_sets_tried as u64);
-    shard.add(Counter::RectifyChoices, s.choices_tried as u64);
-    shard.add(Counter::PrefilterScreened, s.prefilter_screened as u64);
-    shard.add(Counter::PrefilterPassed, s.prefilter_passed as u64);
-    shard.add(Counter::CacheHits, s.cache_hits);
-    shard.add(Counter::CacheVerifyRejects, s.cache_verify_rejects);
-    shard.gauge_max(Gauge::BddPeakNodes, s.bdd_peak_nodes as u64);
-    shard.gauge_max(Gauge::BddUniqueEntries, s.bdd_unique_entries as u64);
-    shard.observe(Histogram::SearchMicros, search.as_micros() as u64);
+/// Adds one BDD manager's cache counters and high-water marks to
+/// `counters`.
+fn count_bdd(counters: &mut Counters, m: &BddManager) {
+    let b = m.counters();
+    counters.add(Counter::BddApplyHits, b.apply_hits);
+    counters.add(Counter::BddApplyMisses, b.apply_misses);
+    counters.add(Counter::BddIteHits, b.ite_hits);
+    counters.add(Counter::BddIteMisses, b.ite_misses);
+    counters.add(Counter::BddQuantHits, b.quant_hits);
+    counters.add(Counter::BddQuantMisses, b.quant_misses);
+    counters.add(Counter::BddUniqueResizes, b.unique_resizes);
+    counters.add(Counter::BddEvictions, b.evictions);
+    counters.add(Counter::BddGcRuns, b.gc_runs);
+    counters.add(Counter::BddGcFreed, b.gc_freed_nodes);
+    counters.max(Gauge::BddPeakNodes, m.peak_num_nodes() as u64);
+    counters.max(Gauge::BddUniqueEntries, m.unique_table_len() as u64);
 }
 
 /// [`rewire_rectify`] with an explicit observer, worker pool, and telemetry
@@ -479,7 +381,7 @@ pub(crate) fn rewire_rectify_with(
         Some(options.validation_budget.saturating_mul(10)),
         Some(budget),
     )?;
-    note_sat(&mut stats, &shard, detect_sat);
+    count_sat(&mut stats.counters, detect_sat);
     for (pair, verdict) in corr.outputs.iter().zip(verdicts) {
         match verdict {
             Equivalence::Equivalent => {}
@@ -565,11 +467,7 @@ pub(crate) fn rewire_rectify_with(
     // Search phase: pure per-output searches on the worker pool.
     // ------------------------------------------------------------------
     let base: &Circuit = implementation;
-    // One metrics shard per worker lane: counters are relaxed atomics, so
-    // the search hot path never takes a lock; the registry folds the shards
-    // at snapshot time.
-    let worker_shards: Vec<MetricsShard> = (0..pool.workers()).map(|_| telemetry.shard()).collect();
-    let results: Vec<SearchResult> = pool.run(order.len(), |w, i| {
+    let results: Vec<SearchResult> = pool.run(order.len(), |i| {
         let pair = &order[i];
         emit(
             observer,
@@ -580,7 +478,7 @@ pub(crate) fn rewire_rectify_with(
             },
         );
         let t_search = Instant::now();
-        let mut local = SearchStats::default();
+        let mut local = Counters::default();
         let mut refined: Vec<Vec<bool>> = Vec::new();
         // Trace lane i+1 belongs to merge slot i regardless of which worker
         // ran it, so the merged trace is independent of scheduling.
@@ -613,7 +511,7 @@ pub(crate) fn rewire_rectify_with(
                         &mut local,
                         budget,
                         &mut trace,
-                        &worker_shards[w],
+                        &shard,
                         output_entries.get(i).and_then(|e| e.warm.as_ref()),
                         &mut refined,
                     )
@@ -643,21 +541,22 @@ pub(crate) fn rewire_rectify_with(
         let search = t_search.elapsed();
         trace!("output {}: search done in {search:?}", pair.name);
         trace.end_with(span_search, "search", "rectify", || {
+            let n = |c: Counter| ArgValue::U64(local[c]);
             vec![
                 ("output", ArgValue::Str(pair.name.clone())),
-                ("refinements", ArgValue::U64(local.refinements as u64)),
-                ("validations", ArgValue::U64(local.validations as u64)),
-                ("point_sets", ArgValue::U64(local.point_sets_tried as u64)),
-                ("choices", ArgValue::U64(local.choices_tried as u64)),
-                ("screened", ArgValue::U64(local.prefilter_screened as u64)),
-                ("sat_conflicts", ArgValue::U64(local.sat.conflicts)),
+                ("refinements", n(Counter::RectifyRefinements)),
+                ("validations", n(Counter::RectifyValidations)),
+                ("point_sets", n(Counter::RectifyPointSets)),
+                ("choices", n(Counter::RectifyChoices)),
+                ("screened", n(Counter::PrefilterScreened)),
+                ("sat_conflicts", n(Counter::SatConflicts)),
                 (
                     "proposal",
                     ArgValue::U64(u64::from(matches!(verdict, SearchVerdict::Proposal { .. }))),
                 ),
             ]
         });
-        flush_search_metrics(&worker_shards[w], &local, search);
+        shard.observe(Histogram::SearchMicros, search.as_micros() as u64);
         emit(
             observer,
             ProgressEvent::OutputSearched {
@@ -669,30 +568,12 @@ pub(crate) fn rewire_rectify_with(
         );
         SearchResult {
             verdict,
-            stats: local,
+            counters: local,
             search,
             trace,
             refined,
         }
     });
-    for r in &results {
-        stats.refinements += r.stats.refinements;
-        stats.validations += r.stats.validations;
-        stats.point_sets_tried += r.stats.point_sets_tried;
-        stats.choices_tried += r.stats.choices_tried;
-        stats.prefilter_screened += r.stats.prefilter_screened;
-        stats.prefilter_passed += r.stats.prefilter_passed;
-        stats.sat_conflicts += r.stats.sat.conflicts;
-        stats.sat_decisions += r.stats.sat.decisions;
-        stats.sat_propagations += r.stats.sat.propagations;
-        stats.sat_restarts += r.stats.sat.restarts;
-        stats.sat_learnt_clauses += r.stats.sat.learnt_clauses;
-        stats.sat_learnt_literals += r.stats.sat.learnt_literals;
-        stats.bdd += r.stats.bdd;
-        stats.bdd_peak_nodes = stats.bdd_peak_nodes.max(r.stats.bdd_peak_nodes);
-        stats.cache_hits += r.stats.cache_hits;
-        stats.cache_verify_rejects += r.stats.cache_verify_rejects;
-    }
     // A simulated crash in any search slot kills the whole run *now*,
     // before the merge phase writes anything — exactly what a SIGKILL
     // mid-fan-out leaves behind: durable checkpoints, no partial patch.
@@ -728,21 +609,22 @@ pub(crate) fn rewire_rectify_with(
     budget.fault_span(SpanPoint::Merge)?;
     let recheck = |implementation: &Circuit,
                    pair: &OutputPair,
-                   stats: &mut RectifyStats|
+                   counters: &mut Counters|
      -> Result<Equivalence, EcoError> {
         let (verdict, s) =
             check_output_pair_with_stats(implementation, spec, pair, recheck_budget, Some(budget))?;
-        note_sat(stats, &shard, s);
+        count_sat(counters, s);
         Ok(verdict)
     };
     for (position, (pair, result)) in order.iter().zip(results).enumerate() {
         let SearchResult {
             verdict,
+            counters,
             search,
             trace,
             refined,
-            ..
         } = result;
+        stats.counters += &counters;
         search_traces.push(trace);
         refined_per_output.push(refined);
         let span_commit = tb.start();
@@ -759,7 +641,7 @@ pub(crate) fn rewire_rectify_with(
                 let already_fixed = reason.is_none()
                     && proposals_applied > 0
                     && matches!(
-                        recheck(implementation, pair, &mut stats)?,
+                        recheck(implementation, pair, &mut stats.counters)?,
                         Equivalence::Equivalent
                     );
                 if already_fixed {
@@ -811,7 +693,7 @@ pub(crate) fn rewire_rectify_with(
                     (OutputAction::Fallback, true)
                 } else if proposals_applied > 0
                     && matches!(
-                        recheck(implementation, pair, &mut stats)?,
+                        recheck(implementation, pair, &mut stats.counters)?,
                         Equivalence::Equivalent
                     )
                 {
@@ -832,7 +714,7 @@ pub(crate) fn rewire_rectify_with(
                             // re-confirm before keeping them.
                             if proposals_applied > 0
                                 && !matches!(
-                                    recheck(implementation, pair, &mut stats)?,
+                                    recheck(implementation, pair, &mut stats.counters)?,
                                     Equivalence::Equivalent
                                 )
                             {
@@ -847,7 +729,7 @@ pub(crate) fn rewire_rectify_with(
                     }
                     match conflict {
                         None => {
-                            stats.rewire_rectified += 1;
+                            stats.counters.add(Counter::RectifyRewired, 1);
                             proposals_applied += 1;
                             output_proposals[position] = Some(committed.len());
                             committed.push(rewires);
@@ -924,7 +806,10 @@ pub(crate) fn rewire_rectify_with(
     tb.end_with(span_merge, "merge", "rectify", || {
         vec![
             ("proposals_applied", ArgValue::U64(proposals_applied as u64)),
-            ("fallbacks", ArgValue::U64(stats.fallbacks as u64)),
+            (
+                "fallbacks",
+                ArgValue::U64(stats.counters[Counter::RectifyFallbacks]),
+            ),
         ]
     });
 
@@ -941,7 +826,7 @@ pub(crate) fn rewire_rectify_with(
         budget.fault_span(SpanPoint::Verify)?;
         let (verdicts, verify_sat) =
             classify_outputs_with_stats(implementation, spec, &corr, recheck_budget, Some(budget))?;
-        note_sat(&mut stats, &shard, verify_sat);
+        count_sat(&mut stats.counters, verify_sat);
         let mut repaired = 0u64;
         for (pair, verdict) in corr.outputs.iter().zip(verdicts) {
             if matches!(verdict, Equivalence::Equivalent) {
@@ -1023,33 +908,28 @@ pub(crate) fn rewire_rectify_with(
     }
 
     if let Some(ck) = checkpoint {
-        stats.checkpoint_hits = resumed_count as u64;
-        stats.checkpoint_writes = ck.writes();
-        stats.cache_corrupt_segments += ck.corrupt_segments();
+        let counters = &mut stats.counters;
+        counters.add(Counter::CheckpointHits, resumed_count as u64);
+        counters.add(Counter::CheckpointWrites, ck.writes());
+        counters.add(Counter::CacheCorruptSegments, ck.corrupt_segments());
         let (io_errors, retries) = ck.io_counters();
-        stats.cache_io_errors += io_errors;
-        stats.cache_retries += retries;
-        if shard.is_enabled() {
-            shard.add(Counter::CheckpointHits, stats.checkpoint_hits);
-            shard.add(Counter::CheckpointWrites, stats.checkpoint_writes);
-        }
+        counters.add(Counter::CacheIoErrors, io_errors);
+        counters.add(Counter::CacheRetries, retries);
     }
 
     implementation.sweep();
-    if shard.is_enabled() {
-        shard.add(Counter::RectifyRewired, stats.rewire_rectified as u64);
-        shard.add(Counter::RectifyFallbacks, stats.fallbacks as u64);
-        shard.add(
-            Counter::RectifyDegradations,
-            stats.degradations.len() as u64,
-        );
-        let merge_conflicts = stats
-            .degradations
-            .iter()
-            .filter(|d| matches!(d.reason, DegradeReason::MergeConflict))
-            .count();
-        shard.add(Counter::RectifyMergeConflicts, merge_conflicts as u64);
-    }
+    let merge_conflicts = stats
+        .degradations
+        .iter()
+        .filter(|d| matches!(d.reason, DegradeReason::MergeConflict))
+        .count();
+    stats.counters.add(
+        Counter::RectifyDegradations,
+        stats.degradations.len() as u64,
+    );
+    stats
+        .counters
+        .add(Counter::RectifyMergeConflicts, merge_conflicts as u64);
     emit(
         observer,
         ProgressEvent::RunFinished {
@@ -1064,8 +944,14 @@ pub(crate) fn rewire_rectify_with(
                 "outputs_failing",
                 ArgValue::U64(stats.outputs_failing as u64),
             ),
-            ("rewired", ArgValue::U64(stats.rewire_rectified as u64)),
-            ("fallbacks", ArgValue::U64(stats.fallbacks as u64)),
+            (
+                "rewired",
+                ArgValue::U64(stats.counters[Counter::RectifyRewired]),
+            ),
+            (
+                "fallbacks",
+                ArgValue::U64(stats.counters[Counter::RectifyFallbacks]),
+            ),
             (
                 "degradations",
                 ArgValue::U64(stats.degradations.len() as u64),
@@ -1112,7 +998,7 @@ fn fallback_rectify(
     for op in ops {
         patch.record_rewire(op);
     }
-    stats.fallbacks += 1;
+    stats.counters.add(Counter::RectifyFallbacks, 1);
     committed.push(fallback);
     Ok(())
 }
@@ -1134,7 +1020,7 @@ fn search_one_output(
     initial_bank: &[Vec<bool>],
     options: &EcoOptions,
     timing: Option<&TimingReport>,
-    stats: &mut SearchStats,
+    stats: &mut Counters,
     budget: &Budget,
     buf: &mut TraceBuffer,
     shard: &MetricsShard,
@@ -1155,7 +1041,7 @@ fn search_one_output(
         &mut rng,
         Some(budget),
     )?;
-    stats.sat += sample_sat;
+    count_sat(stats, sample_sat);
     buf.end_with(span_samples, "samples", "rectify", || {
         vec![
             ("collected", ArgValue::U64(samples.len() as u64)),
@@ -1201,7 +1087,7 @@ fn search_one_output(
         }
         if let Some(proposal) = &warm.proposal {
             let no_clones: HashMap<NetId, NetId> = HashMap::new();
-            stats.validations += 1;
+            stats.add(Counter::RectifyValidations, 1);
             let t_val = Instant::now();
             let span_val = buf.start();
             budget.fault_span(SpanPoint::Validate)?;
@@ -1221,7 +1107,7 @@ fn search_one_output(
                 .as_ref()
                 .map(|(_, s)| *s)
                 .unwrap_or_else(|_| SolverStats::default());
-            stats.sat += val_sat;
+            count_sat(stats, val_sat);
             buf.end_with(span_val, "validate", "rectify", || {
                 vec![
                     ("rewires", ArgValue::U64(proposal.len() as u64)),
@@ -1238,7 +1124,7 @@ fn search_one_output(
             }
             match result {
                 Ok((Validation::Valid { .. }, _)) => {
-                    stats.cache_hits += 1;
+                    stats.add(Counter::CacheHits, 1);
                     return Ok(SearchVerdict::Proposal {
                         rewires: proposal.clone(),
                         cut: None,
@@ -1247,7 +1133,7 @@ fn search_one_output(
                 Ok((Validation::CounterExample(x), _)) => {
                     // The rejection's counterexample is fresh signal: feed
                     // it into the domain before starting the cold search.
-                    stats.cache_verify_rejects += 1;
+                    stats.add(Counter::CacheVerifyRejects, 1);
                     if x.len() == base.num_inputs() && !samples.contains(&x) {
                         if !sample_bank.contains(&x) {
                             sample_bank.push(x.clone());
@@ -1258,7 +1144,7 @@ fn search_one_output(
                 }
                 // Damaged, infeasible, SAT-unknown, or a record so stale
                 // it no longer applies cleanly: discard and search cold.
-                _ => stats.cache_verify_rejects += 1,
+                _ => stats.add(Counter::CacheVerifyRejects, 1),
             }
         }
     }
@@ -1295,7 +1181,7 @@ fn search_one_output(
                     break;
                 }
                 refinements_left -= 1;
-                stats.refinements += 1;
+                stats.add(Counter::RectifyRefinements, 1);
                 buf.instant("refine", "rectify");
                 if !sample_bank.contains(&x) {
                     sample_bank.push(x.clone());
@@ -1364,7 +1250,7 @@ fn attempt_with_domain(
     sample_bank: &[Vec<bool>],
     options: &EcoOptions,
     timing: Option<&TimingReport>,
-    stats: &mut SearchStats,
+    stats: &mut Counters,
     budget: &Budget,
     buf: &mut TraceBuffer,
     shard: &MetricsShard,
@@ -1396,9 +1282,7 @@ fn attempt_with_domain(
         buf,
         shard,
     );
-    stats.bdd += m.counters();
-    stats.bdd_peak_nodes = stats.bdd_peak_nodes.max(m.peak_num_nodes());
-    stats.bdd_unique_entries = stats.bdd_unique_entries.max(m.unique_table_len());
+    count_bdd(stats, &m);
     result
 }
 
@@ -1416,7 +1300,7 @@ fn attempt_in_manager(
     sample_bank: &[Vec<bool>],
     options: &EcoOptions,
     timing: Option<&TimingReport>,
-    stats: &mut SearchStats,
+    stats: &mut Counters,
     budget: &Budget,
     buf: &mut TraceBuffer,
     shard: &MetricsShard,
@@ -1553,7 +1437,7 @@ fn attempt_in_manager(
                 cut = Some(reason);
                 break 'outer;
             }
-            stats.point_sets_tried += 1;
+            stats.add(Counter::RectifyPointSets, 1);
             // Point-set boundary: the previous iteration's H(t) and choice
             // intermediates are garbage now. Give the manager a chance to
             // collect against the handles still needed; a no-op until its
@@ -1637,7 +1521,7 @@ fn attempt_in_manager(
 
             // Validate every decoded choice of this point-set.
             for choice in ranked {
-                stats.choices_tried += 1;
+                stats.add(Counter::RectifyChoices, 1);
                 let mut rewires: Vec<CandidateRewire> = Vec::new();
                 for (i, (&pin, &j)) in point_set.iter().zip(choice.iter()).enumerate() {
                     if j == 0 {
@@ -1667,13 +1551,13 @@ fn attempt_in_manager(
                 // candidate goes straight to SAT validation.
                 match pf_bank.screen(base, spec, &rewires, pair)? {
                     prefilter::Screen::Screened => {
-                        stats.prefilter_screened += 1;
+                        stats.add(Counter::PrefilterScreened, 1);
                         continue;
                     }
-                    prefilter::Screen::Pass => stats.prefilter_passed += 1,
+                    prefilter::Screen::Pass => stats.add(Counter::PrefilterPassed, 1),
                 }
                 validations_left -= 1;
-                stats.validations += 1;
+                stats.add(Counter::RectifyValidations, 1);
                 let t_val = Instant::now();
                 let span_val = buf.start();
                 budget.fault_span(SpanPoint::Validate)?;
@@ -1689,7 +1573,7 @@ fn attempt_in_manager(
                     options.validation_budget,
                     Some(budget),
                 )?;
-                stats.sat += val_sat;
+                count_sat(stats, val_sat);
                 buf.end_with(span_val, "validate", "rectify", || {
                     vec![
                         ("rewires", ArgValue::U64(rewires.len() as u64)),
@@ -1960,24 +1844,14 @@ mod tests {
         )
         .unwrap();
         // The run span closes the coordinator lane; the per-output search
-        // span sits on lane 1. Counters made it into both the stats and the
-        // metrics registry.
+        // span sits on lane 1. The search's counters reached the run's.
         assert!(trace.iter().any(|sp| sp.name == "run" && sp.lane == 0));
         assert!(trace.iter().any(|sp| sp.name == "search" && sp.lane == 1));
-        assert!(stats.validations > 0);
-        assert!(stats.sat_propagations > 0, "{stats:?}");
-        assert!(stats.bdd.total_misses() > 0, "{stats:?}");
-        assert!(stats.bdd_peak_nodes >= 2);
-        let snapshot = telemetry.snapshot();
-        assert_eq!(
-            snapshot.counter(Counter::RectifyValidations),
-            stats.validations as u64
-        );
-        assert_eq!(snapshot.counter(Counter::SatConflicts), stats.sat_conflicts);
-        assert_eq!(
-            snapshot.gauge(Gauge::BddPeakNodes),
-            stats.bdd_peak_nodes as u64
-        );
+        let counters = &stats.counters;
+        assert!(counters[Counter::RectifyValidations] > 0);
+        assert!(counters[Counter::SatPropagations] > 0, "{stats:?}");
+        assert!(counters[Counter::BddApplyMisses] > 0, "{stats:?}");
+        assert!(counters[Gauge::BddPeakNodes] >= 2);
         assert_eq!(stats.per_output.len(), 1);
         assert_eq!(stats.per_output[0].output, "y");
         assert_ne!(stats.per_output[0].action, OutputAction::AlreadyEquivalent);
@@ -2016,7 +1890,7 @@ mod tests {
         assert_eq!(d.output, "y");
         assert_eq!(d.reason, DegradeReason::BddNodeLimit);
         assert!(matches!(d.action, DegradeAction::OutputRewireFallback));
-        assert!(stats.fallbacks >= 1);
+        assert!(stats.counters[Counter::RectifyFallbacks] >= 1);
         check_equiv(&c, &s);
         c.check_well_formed().unwrap();
     }

@@ -39,23 +39,22 @@ impl WorkerPool {
         self.workers
     }
 
-    /// Runs `f(worker, 0..n)` and returns the results in index order.
+    /// Runs `f(0..n)` and returns the results in index order.
     ///
-    /// `worker` identifies the executing lane in `0..workers()` — results
-    /// must never depend on it (it only routes worker-local resources such
-    /// as metrics shards); the item index is what seeds the search. With one
-    /// worker (or one item) everything runs inline on the calling thread —
-    /// no spawn overhead, same results. Otherwise `min(workers, n)` scoped
-    /// threads claim indices from a shared counter; `f` must contain its own
-    /// panics (the rectification worker does, via `catch_unwind`) — a panic
-    /// escaping `f` aborts the whole run.
+    /// The item index is what seeds the search; which worker ran an item
+    /// is deliberately not observable. With one worker (or one item)
+    /// everything runs inline on the calling thread — no spawn overhead,
+    /// same results. Otherwise `min(workers, n)` scoped threads claim
+    /// indices from a shared counter; `f` must contain its own panics (the
+    /// rectification worker does, via `catch_unwind`) — a panic escaping
+    /// `f` aborts the whole run.
     pub(crate) fn run<T, F>(&self, n: usize, f: F) -> Vec<T>
     where
         T: Send,
-        F: Fn(usize, usize) -> T + Sync,
+        F: Fn(usize) -> T + Sync,
     {
         if self.workers == 1 || n <= 1 {
-            return (0..n).map(|i| f(0, i)).collect();
+            return (0..n).map(f).collect();
         }
         let mut slots: Vec<Option<T>> = Vec::with_capacity(n);
         slots.resize_with(n, || None);
@@ -73,7 +72,7 @@ impl WorkerPool {
                     if i >= n {
                         break;
                     }
-                    let result = f(w, i);
+                    let result = f(i);
                     // A panic in another worker must not cascade through
                     // lock poisoning: the slot vector is only ever written
                     // whole-`Some` under the lock, so its contents stay
@@ -90,7 +89,7 @@ impl WorkerPool {
         // If thread spawning failed entirely, finish inline.
         for (i, slot) in slots.iter_mut().enumerate() {
             if slot.is_none() {
-                *slot = Some(f(0, i));
+                *slot = Some(f(i));
             }
         }
         slots.into_iter().map(|s| s.unwrap()).collect()
@@ -120,38 +119,25 @@ mod tests {
         let expect: Vec<usize> = inputs.iter().map(|i| i * i).collect();
         for workers in [1, 2, 3, 8, 64] {
             let pool = WorkerPool::new(workers);
-            let got = pool.run(inputs.len(), |_, i| i * i);
+            let got = pool.run(inputs.len(), |i| i * i);
             assert_eq!(got, expect, "workers={workers}");
         }
     }
 
     #[test]
     fn zero_items_and_zero_workers_are_fine() {
-        assert!(WorkerPool::new(0).run(0, |_, i| i).is_empty());
+        assert!(WorkerPool::new(0).run(0, |i| i).is_empty());
         assert_eq!(WorkerPool::new(0).workers(), 1);
-        assert_eq!(WorkerPool::new(4).run(1, |_, i| i + 1), vec![1]);
+        assert_eq!(WorkerPool::new(4).run(1, |i| i + 1), vec![1]);
     }
 
     #[test]
     fn every_item_runs_exactly_once() {
         let hits = std::sync::Mutex::new(Vec::new());
-        WorkerPool::new(7).run(100, |_, i| hits.lock().unwrap().push(i));
+        WorkerPool::new(7).run(100, |i| hits.lock().unwrap().push(i));
         let mut hits = hits.into_inner().unwrap();
         hits.sort_unstable();
         assert_eq!(hits, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn worker_index_stays_within_pool_width() {
-        let workers = 5;
-        let seen = std::sync::Mutex::new(HashSet::new());
-        WorkerPool::new(workers).run(64, |w, i| {
-            seen.lock().unwrap().insert(w);
-            i
-        });
-        let seen = seen.into_inner().unwrap();
-        assert!(!seen.is_empty());
-        assert!(seen.iter().all(|&w| w < workers), "{seen:?}");
     }
 
     #[test]

@@ -101,19 +101,21 @@ impl Session {
     }
 
     /// Attaches a [`Telemetry`] hub: runs record structured trace spans
-    /// (returned in [`EcoResult::trace`]) and feed the sharded metrics
-    /// registry readable via [`Session::metrics_snapshot`]. The handle is
-    /// shared — clone-cheap — so the caller can keep one for export while
-    /// the session records into it. A disabled hub (the default) costs
-    /// nothing: no clock reads, no allocation.
+    /// (returned in [`EcoResult::trace`]), and each finished run adds its
+    /// [`RectifyStats::counters`](crate::RectifyStats::counters) to the
+    /// metrics registry readable via [`Session::metrics_snapshot`]. The
+    /// handle is shared — clone-cheap — so the caller can keep one for
+    /// export while the session records into it. A disabled hub (the
+    /// default) costs nothing: no clock reads, no allocation.
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: &Telemetry) -> Self {
         self.telemetry = telemetry.clone();
         self
     }
 
-    /// A point-in-time fold of every metrics shard the attached
-    /// [`Telemetry`] has handed out. Empty when telemetry is disabled.
+    /// A point-in-time view of the attached [`Telemetry`]'s metrics: every
+    /// finished run's counters (summed; gauges keep their maximum) plus the
+    /// timing histograms. Empty when telemetry is disabled.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         self.telemetry.snapshot()
     }
@@ -226,19 +228,70 @@ mod tests {
 
     #[test]
     fn session_telemetry_records_spans_and_metrics() {
+        use crate::fault::FaultPolicy;
+        use eco_telemetry::{Counter, Gauge};
+
         let (c, s) = and_or_pair();
-        let telemetry = Telemetry::enabled();
-        let session = Session::new(EcoOptions::with_seed(3)).with_telemetry(&telemetry);
-        let result = session.run(&c, &s).unwrap();
-        assert!(verify_rectification(&result.patched, &s).unwrap());
-        assert!(result.trace.iter().any(|sp| sp.name == "run"));
-        assert!(result.trace.iter().any(|sp| sp.name == "search"));
-        let snap = session.metrics_snapshot();
-        assert!(!snap.is_empty());
-        assert_eq!(
-            snap.counter(eco_telemetry::Counter::RectifyValidations),
-            result.rectify.validations as u64
-        );
+        let dir =
+            std::env::temp_dir().join(format!("syseco-session-metrics-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cold = EcoOptions::with_seed(3);
+        let cached = EcoOptions::builder()
+            .seed(3)
+            .cache_dir(dir.join("cache"))
+            .build();
+        let checkpointed = EcoOptions::builder()
+            .seed(3)
+            .checkpoint_dir(dir.join("checkpoint"))
+            .build();
+        let panicking = Budget::unlimited().with_faults(FaultPolicy {
+            panic_at: Some(1),
+            ..FaultPolicy::default()
+        });
+        let unlimited = Budget::unlimited();
+        // (run, options, budget, earlier runs that prime the measured one,
+        // proof the measured run took the path its row names)
+        type Took = fn(&EcoResult) -> bool;
+        let rows: [(&str, &EcoOptions, &Budget, usize, Took); 4] = [
+            ("cold", &cold, &unlimited, 0, |r| {
+                r.trace.iter().any(|sp| sp.name == "run")
+                    && r.trace.iter().any(|sp| sp.name == "search")
+            }),
+            ("cache replay", &cached, &unlimited, 1, |r| {
+                let n = &r.rectify.counters;
+                n[Counter::CacheHits] == 1
+                    && n[Counter::RectifyRewired] + n[Counter::RectifyFallbacks] > 0
+            }),
+            ("checkpoint resume", &checkpointed, &unlimited, 1, |r| {
+                r.rectify.counters[Counter::CheckpointHits] > 0
+            }),
+            ("contained panic", &cold, &panicking, 0, |r| {
+                r.rectify.counters[Counter::FaultInjections] == 1
+                    && r.rectify.degradations.len() == 1
+            }),
+        ];
+        for (label, options, budget, priming, took) in rows {
+            for _ in 0..priming {
+                Session::new(options.clone()).run(&c, &s).unwrap();
+            }
+            let session = Session::new(options.clone()).with_telemetry(&Telemetry::enabled());
+            let result = session.run_with_budget(&c, &s, budget).unwrap();
+            let verified = verify_rectification(&result.patched, &s).unwrap();
+            assert!(verified, "{label}");
+            assert!(took(&result), "{label}: {:?}", result.rectify);
+            // The snapshot is the run's counters, entry for entry.
+            let snap = session.metrics_snapshot();
+            let counters = &result.rectify.counters;
+            for &counter in Counter::ALL {
+                let name = counter.name();
+                assert_eq!(snap.counter(counter), counters[counter], "{label}: {name}");
+            }
+            for &gauge in Gauge::ALL {
+                let name = gauge.name();
+                assert_eq!(snap.gauge(gauge), counters[gauge], "{label}: {name}");
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
         // Without telemetry the same run records nothing and costs nothing.
         let bare = Session::new(EcoOptions::with_seed(3)).run(&c, &s).unwrap();
         assert!(bare.trace.is_empty());

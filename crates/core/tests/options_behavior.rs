@@ -2,7 +2,7 @@
 //! stay correct; the knobs only trade quality and effort.
 
 use eco_netlist::{Circuit, GateKind};
-use syseco::{verify_rectification, EcoOptions, SamplePolicy, Session};
+use syseco::{verify_rectification, Counter, EcoOptions, SamplePolicy, Session};
 
 /// A multi-sink case: two output words gated by v0/v1 must be re-gated by
 /// c/¬c (the Figure-1 shape, 2 bits wide).
@@ -80,9 +80,11 @@ fn tiny_validation_budget_degrades_to_fallback_not_failure() {
     // With no budget the engine cannot confirm searches, but the fallback
     // path still rectifies everything: each failing output is resolved by a
     // committed rewire, a fallback, or as a side effect of another commit.
-    assert!(r.rectify.fallbacks + r.rectify.rewire_rectified >= 1);
+    let n = &r.rectify.counters;
+    let resolved = n[Counter::RectifyFallbacks] + n[Counter::RectifyRewired];
+    assert!(resolved >= 1);
     assert!(
-        r.rectify.fallbacks + r.rectify.rewire_rectified <= r.rectify.outputs_failing,
+        resolved <= r.rectify.outputs_failing as u64,
         "{:?}",
         r.rectify
     );
@@ -101,7 +103,8 @@ fn small_domain_needs_no_more_than_max_refinements() {
     options.num_samples = 2;
     options.max_refinements = 3;
     let r = rectify_with(options);
-    assert!(r.rectify.refinements <= 3 * r.rectify.outputs_failing + 3);
+    let refinements = r.rectify.counters[Counter::RectifyRefinements];
+    assert!(refinements <= 3 * r.rectify.outputs_failing as u64 + 3);
 }
 
 #[test]

@@ -131,7 +131,6 @@ impl Server {
     /// Runs the daemon until the shutdown flag is set, then drains and
     /// returns. The calling thread becomes the accept loop.
     pub fn run(self) -> io::Result<()> {
-        let metrics = self.telemetry.shard();
         std::thread::scope(|scope| {
             for _ in 0..self.workers {
                 let scheduler = Arc::clone(&self.scheduler);
@@ -164,7 +163,6 @@ impl Server {
             // connection/http threads (which see the flag).
             self.scheduler.drain();
         });
-        let _ = metrics; // shard retired with the run
         Ok(())
     }
 }

@@ -1,4 +1,4 @@
-//! Telemetry for syseco: structured tracing spans, a sharded metrics
+//! Telemetry for syseco: structured tracing spans, a lock-free metrics
 //! registry, and exporters (JSONL, Chrome trace, metrics JSON).
 //!
 //! The paper's experimental story (§5) is about *where time goes* —
@@ -19,28 +19,32 @@
 //!   merge-slot `i`). Buffers are thread-local by construction — each
 //!   worker fills its own — and the caller concatenates them in slot order,
 //!   which keeps the merged trace deterministic for any worker count.
-//! * [`MetricsShard`] is one thread's view of the registry: plain relaxed
-//!   atomic counters, max-gauges, and log₂-bucketed histograms. Shards are
-//!   lock-free on the hot path; [`Telemetry::snapshot`] folds them into a
-//!   [`MetricsSnapshot`] at run end.
+//! * [`Counters`] is a plain (non-atomic) counter and gauge block. A run
+//!   counts into its own `Counters` and publishes it once, at the end,
+//!   with [`MetricsShard::add_all`].
+//! * [`MetricsShard`] is a handle to the registry's one block of relaxed
+//!   atomic counters, max-gauges, and log₂-bucketed histograms. Every
+//!   handle from one [`Telemetry`] records into the same block, lock-free;
+//!   [`Telemetry::snapshot`] reads it into a [`MetricsSnapshot`].
 //! * [`export`] renders spans as JSONL or Chrome `chrome://tracing` JSON
 //!   and snapshots as metrics JSON, with a hand-rolled writer (no serde).
 //!
 //! # Example
 //!
 //! ```
-//! use eco_telemetry::{export, ArgValue, Counter, Telemetry};
+//! use eco_telemetry::{export, ArgValue, Counter, Counters, Telemetry};
 //!
 //! let telemetry = Telemetry::enabled();
-//! let shard = telemetry.shard();
+//! let mut counts = Counters::default();
 //! let mut buf = telemetry.buffer(0);
 //! let span = buf.start();
-//! shard.add(Counter::SatConflicts, 17);
+//! counts.add(Counter::SatConflicts, 17);
 //! buf.end_with(span, "detect", "rectify", || {
 //!     vec![("outputs", ArgValue::U64(4))]
 //! });
 //! let spans = buf.into_spans();
 //! assert_eq!(spans.len(), 1);
+//! telemetry.shard().add_all(&counts); // once, when the run finishes
 //! assert_eq!(telemetry.snapshot().counter(Counter::SatConflicts), 17);
 //! println!("{}", export::chrome_trace(&spans));
 //! ```
@@ -56,7 +60,7 @@ pub mod profile;
 pub mod report;
 mod span;
 
-pub use metrics::{Counter, Gauge, Histogram, MetricsShard, MetricsSnapshot};
+pub use metrics::{Counter, Counters, Gauge, Histogram, MetricsShard, MetricsSnapshot};
 pub use span::{ArgValue, SpanRecord, SpanToken, TraceBuffer};
 
 use std::sync::Arc;
@@ -86,7 +90,7 @@ impl Telemetry {
     }
 
     /// A live handle. The clock epoch (time zero of every span) is taken
-    /// now; all shards handed out share one registry.
+    /// now; every shard handed out records into one metrics block.
     pub fn enabled() -> Self {
         Telemetry {
             inner: Some(Arc::new(Inner {
@@ -108,9 +112,9 @@ impl Telemetry {
         TraceBuffer::new(self.inner.as_ref().map(|i| i.epoch), lane)
     }
 
-    /// Registers and returns a fresh metrics shard. Intended use: one
-    /// shard per worker thread, plus one for the coordinator. Disabled
-    /// handles return a no-op shard.
+    /// A handle to the metrics block. Every call returns a handle to the
+    /// same block, so asking for one per run or per thread costs no
+    /// memory beyond the handle. Disabled handles return a no-op shard.
     pub fn shard(&self) -> MetricsShard {
         match &self.inner {
             Some(i) => i.registry.shard(),
@@ -118,8 +122,8 @@ impl Telemetry {
         }
     }
 
-    /// Folds every shard registered so far into one snapshot. Disabled
-    /// handles return an all-zero snapshot.
+    /// Reads the metrics block into a snapshot. Disabled handles return an
+    /// all-zero snapshot.
     pub fn snapshot(&self) -> MetricsSnapshot {
         match &self.inner {
             Some(i) => i.registry.snapshot(),

@@ -1,9 +1,10 @@
-//! The sharded metrics registry: counters, max-gauges, and log₂
-//! histograms, one shard per thread, folded into a snapshot at run end.
+//! The metrics registry: counters, max-gauges, and log₂ histograms in one
+//! lock-free block per [`Telemetry`](crate::Telemetry), plus the plain
+//! [`Counters`] value a run counts into before publishing it.
 
 use crate::names;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Number of histogram buckets: bucket `b` covers values `v` with
 /// `⌈log₂(v+1)⌉ = b`, i.e. bucket 0 is exactly 0, bucket `b ≥ 1` is
@@ -165,8 +166,77 @@ const NUM_COUNTERS: usize = Counter::ALL.len();
 const NUM_GAUGES: usize = Gauge::ALL.len();
 const NUM_HISTOGRAMS: usize = Histogram::ALL.len();
 
-/// One thread's slice of the registry. All operations are relaxed atomic
-/// read-modify-writes — lock-free, no allocation.
+/// Plain (non-atomic) counters and gauges: the one store a run counts
+/// into. `+=` sums counters and takes the maximum of gauges.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Counters {
+    counters: [u64; NUM_COUNTERS],
+    gauges: [u64; NUM_GAUGES],
+}
+
+impl Default for Counters {
+    fn default() -> Self {
+        Counters {
+            counters: [0; NUM_COUNTERS],
+            gauges: [0; NUM_GAUGES],
+        }
+    }
+}
+
+impl Counters {
+    /// Adds `n` to a counter.
+    #[inline]
+    pub fn add(&mut self, counter: Counter, n: u64) {
+        self.counters[counter as usize] += n;
+    }
+
+    /// Raises a gauge to at least `value`.
+    #[inline]
+    pub fn max(&mut self, gauge: Gauge, value: u64) {
+        let g = &mut self.gauges[gauge as usize];
+        *g = (*g).max(value);
+    }
+}
+
+impl std::ops::Index<Counter> for Counters {
+    type Output = u64;
+    fn index(&self, counter: Counter) -> &u64 {
+        &self.counters[counter as usize]
+    }
+}
+
+impl std::ops::Index<Gauge> for Counters {
+    type Output = u64;
+    fn index(&self, gauge: Gauge) -> &u64 {
+        &self.gauges[gauge as usize]
+    }
+}
+
+impl std::ops::AddAssign<&Counters> for Counters {
+    fn add_assign(&mut self, rhs: &Counters) {
+        for (a, b) in self.counters.iter_mut().zip(rhs.counters) {
+            *a += b;
+        }
+        for (a, b) in self.gauges.iter_mut().zip(rhs.gauges) {
+            *a = (*a).max(b);
+        }
+    }
+}
+
+/// Lists only the non-zero entries, by export name.
+impl std::fmt::Debug for Counters {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let counters = Counter::ALL.iter().map(|&c| (c.name(), self[c]));
+        let gauges = Gauge::ALL.iter().map(|&g| (g.name(), self[g]));
+        f.debug_map()
+            .entries(counters.chain(gauges).filter(|&(_, v)| v != 0))
+            .finish()
+    }
+}
+
+/// The metrics block behind an enabled [`Telemetry`](crate::Telemetry).
+/// All operations are relaxed atomic read-modify-writes — lock-free, no
+/// allocation.
 struct ShardData {
     counters: [AtomicU64; NUM_COUNTERS],
     gauges: [AtomicU64; NUM_GAUGES],
@@ -191,10 +261,11 @@ impl std::fmt::Debug for ShardData {
     }
 }
 
-/// Handle through which one thread records metrics.
+/// Handle through which a thread records metrics.
 ///
-/// Cheap to clone (an `Arc`); a no-op shard (from a disabled
-/// [`Telemetry`](crate::Telemetry)) skips even the atomic writes.
+/// Cheap to clone (an `Arc`); every handle from one
+/// [`Telemetry`](crate::Telemetry) records into the same block. A no-op
+/// shard (from a disabled handle) skips even the atomic writes.
 #[derive(Debug, Clone)]
 pub struct MetricsShard(Option<Arc<ShardData>>);
 
@@ -231,6 +302,23 @@ impl MetricsShard {
         }
     }
 
+    /// Publishes a whole [`Counters`] block: sums its counters and raises
+    /// the gauges, skipping zero entries.
+    pub fn add_all(&self, counters: &Counters) {
+        if let Some(d) = &self.0 {
+            for (cell, &n) in d.counters.iter().zip(&counters.counters) {
+                if n != 0 {
+                    cell.fetch_add(n, Ordering::Relaxed);
+                }
+            }
+            for (cell, &v) in d.gauges.iter().zip(&counters.gauges) {
+                if v != 0 {
+                    cell.fetch_max(v, Ordering::Relaxed);
+                }
+            }
+        }
+    }
+
     /// Records one observation into a histogram's log₂ bucket and its
     /// exact running sum.
     #[inline]
@@ -253,60 +341,35 @@ pub(crate) fn bucket_of(value: u64) -> usize {
     .min(NUM_BUCKETS - 1)
 }
 
-/// The shard store behind an enabled [`Telemetry`](crate::Telemetry)
-/// handle. The mutex guards only shard registration and snapshotting —
-/// never the recording hot path.
+/// The one metrics block behind an enabled [`Telemetry`](crate::Telemetry):
+/// every shard handed out records into it, so its size is fixed however
+/// many runs or threads record.
 #[derive(Debug, Default)]
-pub(crate) struct Registry {
-    shards: Mutex<Vec<Arc<ShardData>>>,
-}
+pub(crate) struct Registry(Arc<ShardData>);
 
 impl Registry {
     pub(crate) fn shard(&self) -> MetricsShard {
-        let data = Arc::new(ShardData::default());
-        // Recover from poisoning: the guarded Vec is only ever pushed to,
-        // so a worker that panicked mid-registration cannot have left it
-        // inconsistent — and metrics must stay takeable after a contained
-        // per-output panic.
-        self.shards
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push(Arc::clone(&data));
-        MetricsShard(Some(data))
+        MetricsShard(Some(Arc::clone(&self.0)))
     }
 
     pub(crate) fn snapshot(&self) -> MetricsSnapshot {
-        let mut snap = MetricsSnapshot::default();
-        for shard in self
-            .shards
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .iter()
-        {
-            for (i, c) in shard.counters.iter().enumerate() {
-                snap.counters[i] += c.load(Ordering::Relaxed);
-            }
-            for (i, g) in shard.gauges.iter().enumerate() {
-                snap.gauges[i] = snap.gauges[i].max(g.load(Ordering::Relaxed));
-            }
-            for (i, h) in shard.histograms.iter().enumerate() {
-                for (b, count) in h.iter().enumerate() {
-                    snap.histograms[i][b] += count.load(Ordering::Relaxed);
-                }
-            }
-            for (i, s) in shard.histogram_sums.iter().enumerate() {
-                snap.histogram_sums[i] += s.load(Ordering::Relaxed);
-            }
+        let d = &self.0;
+        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        MetricsSnapshot {
+            counters: Counters {
+                counters: d.counters.each_ref().map(load),
+                gauges: d.gauges.each_ref().map(load),
+            },
+            histograms: d.histograms.each_ref().map(|h| h.each_ref().map(load)),
+            histogram_sums: d.histogram_sums.each_ref().map(load),
         }
-        snap
     }
 }
 
-/// A folded, point-in-time view of every shard.
+/// A point-in-time view of the metrics block.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricsSnapshot {
-    counters: [u64; NUM_COUNTERS],
-    gauges: [u64; NUM_GAUGES],
+    counters: Counters,
     histograms: [[u64; NUM_BUCKETS]; NUM_HISTOGRAMS],
     histogram_sums: [u64; NUM_HISTOGRAMS],
 }
@@ -314,8 +377,7 @@ pub struct MetricsSnapshot {
 impl Default for MetricsSnapshot {
     fn default() -> Self {
         MetricsSnapshot {
-            counters: [0; NUM_COUNTERS],
-            gauges: [0; NUM_GAUGES],
+            counters: Counters::default(),
             histograms: [[0; NUM_BUCKETS]; NUM_HISTOGRAMS],
             histogram_sums: [0; NUM_HISTOGRAMS],
         }
@@ -323,14 +385,14 @@ impl Default for MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// The folded value of one counter.
+    /// The value of one counter.
     pub fn counter(&self, counter: Counter) -> u64 {
-        self.counters[counter as usize]
+        self.counters[counter]
     }
 
-    /// The folded value of one gauge.
+    /// The value of one gauge.
     pub fn gauge(&self, gauge: Gauge) -> u64 {
-        self.gauges[gauge as usize]
+        self.counters[gauge]
     }
 
     /// Per-bucket observation counts of one histogram; bucket 0 is exactly
@@ -512,6 +574,43 @@ mod tests {
             }
         });
         assert_eq!(reg.snapshot().counter(Counter::RectifyChoices), 4000);
+    }
+
+    #[test]
+    fn counters_sum_counters_and_max_gauges_and_publish_whole() {
+        let mut a = Counters::default();
+        a.add(Counter::SatConflicts, 3);
+        a.max(Gauge::BddPeakNodes, 10);
+        let mut b = Counters::default();
+        b.add(Counter::SatConflicts, 4);
+        b.add(Counter::RectifyValidations, 1);
+        b.max(Gauge::BddPeakNodes, 8);
+        a += &b;
+        assert_eq!(a[Counter::SatConflicts], 7);
+        assert_eq!(a[Gauge::BddPeakNodes], 10);
+        assert_eq!(
+            format!("{a:?}"),
+            r#"{"sat.conflicts": 7, "rectify.validations": 1, "bdd.peak_nodes": 10}"#
+        );
+        let reg = Registry::default();
+        reg.shard().add_all(&a);
+        reg.shard().add_all(&b);
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter(Counter::SatConflicts), 11);
+        assert_eq!(snap.counter(Counter::RectifyValidations), 2);
+        assert_eq!(snap.gauge(Gauge::BddPeakNodes), 10);
+    }
+
+    #[test]
+    fn handing_out_shards_allocates_nothing_that_outlives_them() {
+        // A daemon asks for handles on every job: they must all share the
+        // one block and leave nothing behind when dropped.
+        let reg = Registry::default();
+        for _ in 0..1000 {
+            reg.shard().incr(Counter::ServeSubmitted);
+        }
+        assert_eq!(Arc::strong_count(&reg.0), 1);
+        assert_eq!(reg.snapshot().counter(Counter::ServeSubmitted), 1000);
     }
 
     #[test]

@@ -395,8 +395,8 @@ impl CounterSample {
 /// interval, turning monotonic totals into a time series (e.g. BDD apply
 /// throughput and hit rate over the course of a run).
 ///
-/// Sampling only reads the registry's folded snapshot — the recording hot
-/// path stays lock-free and unaffected.
+/// Sampling only reads snapshots of the registry — the recording hot path
+/// stays lock-free and unaffected.
 #[derive(Debug)]
 pub struct CounterSampler {
     stop: Arc<AtomicBool>,

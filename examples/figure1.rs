@@ -14,7 +14,7 @@
 
 use eco_synth::lower::synthesize;
 use eco_synth::rtl::{RtlModule, WordExpr as E};
-use syseco::{verify_rectification, EcoOptions, Session};
+use syseco::{verify_rectification, Counter, EcoOptions, Session};
 
 const WIDTH: u32 = 4;
 
@@ -73,8 +73,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "rewired pins: {} (fallbacks: {}, refinements: {})",
         result.patch.rewires().len(),
-        result.rectify.fallbacks,
-        result.rectify.refinements
+        result.rectify.counters[Counter::RectifyFallbacks],
+        result.rectify.counters[Counter::RectifyRefinements]
     );
     for op in result.patch.rewires() {
         println!(

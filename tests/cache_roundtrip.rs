@@ -10,7 +10,7 @@ use common::{case_params, tmp_dir};
 use eco_netlist::write_blif;
 use eco_workload::{build_case, CaseParams, RevisionKind};
 use proptest::prelude::*;
-use syseco::{verify_rectification, CacheMode, EcoOptions, Session};
+use syseco::{verify_rectification, CacheMode, Counter, EcoOptions, Session};
 
 /// Small multi-output cases: enough failing cones for per-output records
 /// to matter, cheap enough to rectify three times per proptest case.
@@ -38,13 +38,13 @@ proptest! {
         };
 
         let cold = run(1, CacheMode::ReadWrite);
-        prop_assert_eq!(cold.rectify.cache_hits, 0, "first run cannot hit");
-        prop_assert!(cold.rectify.cache_misses > 0, "first run must miss");
+        prop_assert_eq!(cold.rectify.counters[Counter::CacheHits], 0, "first run cannot hit");
+        prop_assert!(cold.rectify.counters[Counter::CacheMisses] > 0, "first run must miss");
 
         for jobs in [1usize, 4] {
             let warm = run(jobs, CacheMode::ReadWrite);
             prop_assert!(
-                warm.rectify.cache_hits > 0,
+                warm.rectify.counters[Counter::CacheHits] > 0,
                 "second run (jobs={}) should reuse the stored run record",
                 jobs
             );
@@ -80,17 +80,17 @@ proptest! {
         let plain = run(None);
         let off = run(Some(CacheMode::Off));
         prop_assert!(!dir.exists(), "CacheMode::Off must not create files");
-        prop_assert_eq!(off.rectify.cache_hits, 0);
-        prop_assert_eq!(off.rectify.cache_misses, 0);
-        prop_assert_eq!(off.rectify.cache_verify_rejects, 0);
-        prop_assert_eq!(off.rectify.cache_corrupt_segments, 0);
+        prop_assert_eq!(off.rectify.counters[Counter::CacheHits], 0);
+        prop_assert_eq!(off.rectify.counters[Counter::CacheMisses], 0);
+        prop_assert_eq!(off.rectify.counters[Counter::CacheVerifyRejects], 0);
+        prop_assert_eq!(off.rectify.counters[Counter::CacheCorruptSegments], 0);
         prop_assert_eq!(write_blif(&off.patched), write_blif(&plain.patched));
 
         // Read-only against a directory that does not exist: still a clean
         // all-miss run that writes nothing.
         let ro = run(Some(CacheMode::ReadOnly));
         prop_assert!(!dir.exists(), "read-only mode must not create files");
-        prop_assert_eq!(ro.rectify.cache_hits, 0);
+        prop_assert_eq!(ro.rectify.counters[Counter::CacheHits], 0);
         prop_assert_eq!(write_blif(&ro.patched), write_blif(&plain.patched));
     }
 }
@@ -144,15 +144,16 @@ fn corrupted_cache_degrades_to_misses_not_errors() {
 
     let warm = run();
     assert!(
-        warm.rectify.cache_corrupt_segments > 0,
+        warm.rectify.counters[Counter::CacheCorruptSegments] > 0,
         "corrupted segments must be counted: {:?}",
         warm.rectify
     );
     assert_eq!(
-        warm.rectify.cache_hits, 0,
+        warm.rectify.counters[Counter::CacheHits],
+        0,
         "corrupted records must not be served"
     );
-    assert!(warm.rectify.cache_misses > 0);
+    assert!(warm.rectify.counters[Counter::CacheMisses] > 0);
     assert_eq!(
         write_blif(&warm.patched),
         write_blif(&cold.patched),
@@ -162,7 +163,7 @@ fn corrupted_cache_degrades_to_misses_not_errors() {
 
     // The corrupted-then-rerun store recovers: a third run hits again.
     let recovered = run();
-    assert!(recovered.rectify.cache_hits > 0);
+    assert!(recovered.rectify.counters[Counter::CacheHits] > 0);
     assert_eq!(write_blif(&recovered.patched), write_blif(&cold.patched));
     let _ = std::fs::remove_dir_all(&dir);
 }

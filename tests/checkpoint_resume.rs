@@ -11,7 +11,7 @@ use common::{case_params, tmp_dir};
 use eco_netlist::write_blif;
 use eco_workload::{build_case, CaseParams, RevisionKind};
 use proptest::prelude::*;
-use syseco::{verify_rectification, EcoOptions, EcoResult, Session};
+use syseco::{verify_rectification, Counter, EcoOptions, EcoResult, Session};
 
 fn multi_output_params() -> CaseParams {
     CaseParams {
@@ -54,9 +54,13 @@ fn rerun_resumes_completed_outputs_byte_identically() {
     let reference = run_checkpointed(&case, 0xC4EC, 1, None);
 
     let cold = run_checkpointed(&case, 0xC4EC, 1, Some(&dir));
-    assert_eq!(cold.rectify.checkpoint_hits, 0, "first run cannot resume");
+    assert_eq!(
+        cold.rectify.counters[Counter::CheckpointHits],
+        0,
+        "first run cannot resume"
+    );
     assert!(
-        cold.rectify.checkpoint_writes > 0,
+        cold.rectify.counters[Counter::CheckpointWrites] > 0,
         "first run must record completed outputs: {:?}",
         cold.rectify
     );
@@ -71,12 +75,14 @@ fn rerun_resumes_completed_outputs_byte_identically() {
     for jobs in [1usize, 4] {
         let resumed = run_checkpointed(&case, 0xC4EC, jobs, Some(&dir));
         assert_eq!(
-            resumed.rectify.checkpoint_hits, cold.rectify.checkpoint_writes,
+            resumed.rectify.counters[Counter::CheckpointHits],
+            cold.rectify.counters[Counter::CheckpointWrites],
             "every recorded output resumes (jobs={jobs}): {:?}",
             resumed.rectify
         );
         assert_eq!(
-            resumed.rectify.checkpoint_writes, 0,
+            resumed.rectify.counters[Counter::CheckpointWrites],
+            0,
             "a fully resumed run re-records nothing (jobs={jobs})"
         );
         assert_eq!(
@@ -94,7 +100,7 @@ fn corrupted_checkpoint_degrades_to_fresh_searches() {
     let case = build_case(&multi_output_params());
     let dir = tmp_dir("ckpt-corrupt");
     let cold = run_checkpointed(&case, 0xC4EC, 1, Some(&dir));
-    assert!(cold.rectify.checkpoint_writes > 0);
+    assert!(cold.rectify.counters[Counter::CheckpointWrites] > 0);
 
     // Flip every byte of every committed checkpoint segment.
     let mut corrupted = 0usize;
@@ -113,11 +119,12 @@ fn corrupted_checkpoint_degrades_to_fresh_searches() {
 
     let rerun = run_checkpointed(&case, 0xC4EC, 1, Some(&dir));
     assert_eq!(
-        rerun.rectify.checkpoint_hits, 0,
+        rerun.rectify.counters[Counter::CheckpointHits],
+        0,
         "corrupted records must not be served"
     );
     assert!(
-        rerun.rectify.cache_corrupt_segments > 0,
+        rerun.rectify.counters[Counter::CacheCorruptSegments] > 0,
         "corruption must be counted: {:?}",
         rerun.rectify
     );
@@ -141,10 +148,11 @@ fn checkpoints_key_on_the_revision_pair() {
     });
     let dir = tmp_dir("ckpt-keys");
     let a = run_checkpointed(&case_a, 0xC4EC, 1, Some(&dir));
-    assert!(a.rectify.checkpoint_writes > 0);
+    assert!(a.rectify.counters[Counter::CheckpointWrites] > 0);
     let b = run_checkpointed(&case_b, 0xC4EC, 1, Some(&dir));
     assert_eq!(
-        b.rectify.checkpoint_hits, 0,
+        b.rectify.counters[Counter::CheckpointHits],
+        0,
         "records of a different revision pair must not resume"
     );
     assert!(verify_rectification(&b.patched, &case_b.spec).unwrap());
@@ -282,7 +290,7 @@ proptest! {
                 write_blif(&cold.patched),
                 "resumed patch diverged (jobs={})", jobs
             );
-            prop_assert_eq!(resumed.rectify.checkpoint_writes, 0);
+            prop_assert_eq!(resumed.rectify.counters[Counter::CheckpointWrites], 0);
         }
         prop_assert!(verify_rectification(&cold.patched, &case.spec).unwrap());
         let _ = std::fs::remove_dir_all(&dir);

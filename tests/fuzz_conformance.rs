@@ -9,6 +9,7 @@ mod common;
 use common::tmp_dir;
 use eco_netlist::write_blif;
 use syseco::fuzz::{generate, iteration_seed, FuzzConfig, FuzzRunner, ScenarioConfig};
+use syseco::Counter;
 
 #[test]
 fn five_hundred_iterations_with_zero_disagreements() {
@@ -184,21 +185,22 @@ fn prefilter_counters_reconcile_with_search_accounting() {
         let result = Session::new(EcoOptions::with_seed(seed ^ 1))
             .run(&sc.implementation, &sc.spec)
             .expect("rectification succeeds");
-        let st = &result.rectify;
+        let st = &result.rectify.counters;
         assert!(
-            st.prefilter_screened + st.prefilter_passed <= st.choices_tried,
+            st[Counter::PrefilterScreened] + st[Counter::PrefilterPassed]
+                <= st[Counter::RectifyChoices],
             "scenario {i}: screened {} + passed {} exceeds choices {}",
-            st.prefilter_screened,
-            st.prefilter_passed,
-            st.choices_tried
+            st[Counter::PrefilterScreened],
+            st[Counter::PrefilterPassed],
+            st[Counter::RectifyChoices]
         );
         assert!(
-            st.prefilter_passed <= st.validations,
+            st[Counter::PrefilterPassed] <= st[Counter::RectifyValidations],
             "scenario {i}: passed {} exceeds validations {}",
-            st.prefilter_passed,
-            st.validations
+            st[Counter::PrefilterPassed],
+            st[Counter::RectifyValidations]
         );
-        screened_anywhere += st.prefilter_screened as u64;
+        screened_anywhere += st[Counter::PrefilterScreened];
     }
     assert!(
         screened_anywhere > 0,

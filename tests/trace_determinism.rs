@@ -289,7 +289,7 @@ fn report_is_stable_across_kill_and_resume() {
             .run(&case.implementation, &case.spec)
             .expect("resume succeeds");
         assert!(
-            result.rectify.checkpoint_hits > 0,
+            result.rectify.counters[Counter::CheckpointHits] > 0,
             "the crashed run must have persisted at least one output"
         );
         let profile = Profile::from_spans(&result.trace);

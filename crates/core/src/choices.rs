@@ -108,7 +108,10 @@ pub fn candidate_function(cand: &RewireCandidate, impl_vals: &[Bdd], spec_vals: 
     }
 }
 
-/// Computes `Ξ(c)` for one point-set and decodes up to `max_choices`
+/// Maximum rewiring choices decoded from `Ξ(c)` per point-set (§4.4).
+const MAX_CHOICES: usize = 6;
+
+/// Computes `Ξ(c)` for one point-set and decodes up to `MAX_CHOICES` (6)
 /// satisfying assignments into candidate-index vectors (one index per
 /// point).
 ///
@@ -135,7 +138,6 @@ pub fn find_choices(
     y_base: u32,
     c_base: u32,
     z_vars: &[u32],
-    max_choices: usize,
 ) -> Result<Vec<Vec<usize>>, BddError> {
     debug_assert_eq!(points.len(), candidates.len());
     let encoding =
@@ -202,7 +204,7 @@ pub fn find_choices(
     }
 
     // Decode satisfying cubes into candidate-index vectors.
-    let cubes = m.sat_cubes(xi, max_choices.saturating_mul(4).max(8));
+    let cubes = m.sat_cubes(xi, MAX_CHOICES * 4);
     let mut out: Vec<Vec<usize>> = Vec::new();
     for cube in &cubes {
         let decoded: Vec<usize> = (0..points.len())
@@ -210,7 +212,7 @@ pub fn find_choices(
             .collect();
         if !out.contains(&decoded) {
             out.push(decoded);
-            if out.len() >= max_choices {
+            if out.len() >= MAX_CHOICES {
                 break;
             }
         }
@@ -308,7 +310,6 @@ mod tests {
             4,
             0,
             &dom.z_vars(),
-            8,
         )
         .unwrap();
         assert_eq!(choices, vec![vec![1]], "only the spec OR net rectifies");
@@ -392,7 +393,6 @@ mod tests {
             12,
             0,
             &dom.z_vars(),
-            8,
         )
         .unwrap();
         assert!(

@@ -95,7 +95,7 @@ pub use fault::{FaultPlan, FaultPolicy};
 pub use options::{EcoOptions, EcoOptionsBuilder, SamplePolicy};
 pub use patch::{Patch, PatchStats, RewireOp};
 pub use progress::{OutputAction, ProgressCallback, ProgressEvent};
-pub use rectify::{rewire_rectify, OutputTiming, RectifyStats};
+pub use rectify::{OutputTiming, RectifyStats};
 pub use session::Session;
 
 /// Persistent incremental-ECO caching (re-export of the `eco-cache`

@@ -40,7 +40,9 @@ pub(crate) const KIND_OUTPUT: u8 = 2;
 /// as misses instead of garbage.
 const PAYLOAD_VERSION: u8 = 1;
 /// Folded into every options fingerprint; bump when the *semantics* behind
-/// an option change without the encoding changing.
+/// an option change without the encoding changing, or when one of the
+/// search's fixed caps (the `MAX_*` constants of the search modules)
+/// changes value.
 const FINGERPRINT_VERSION: u64 = 1;
 
 /// Soft bounds on decoded collection sizes — a corrupt length prefix must
@@ -64,19 +66,9 @@ pub(crate) fn options_fingerprint(options: &EcoOptions) -> Sig128 {
         FINGERPRINT_VERSION,
         options.num_samples as u64,
         policy,
-        options.max_points as u64,
-        options.max_candidate_pins as u64,
-        options.max_point_sets as u64,
-        options.max_decodes_per_prime as u64,
-        options.max_rewire_candidates as u64,
-        options.max_choices as u64,
         options.validation_budget,
-        options.max_refinements as u64,
-        options.max_validations_per_output as u64,
-        options.good_enough_cost as u64,
         u64::from(options.level_driven),
         options.seed,
-        options.bdd_node_limit as u64,
     ])
 }
 

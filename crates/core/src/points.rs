@@ -18,7 +18,10 @@ use std::collections::HashMap;
 use eco_bdd::{Bdd, BddError, BddManager, Cube};
 use eco_netlist::{topo, Circuit, GateKind, NetId, NodeId, Pin};
 
-use crate::sampling::apply_gate_bdd;
+/// Maximum prime cubes of `H(t)` expanded into explicit point-sets.
+const MAX_POINT_SETS: usize = 8;
+/// Maximum concrete point-sets decoded from one prime cube.
+const MAX_DECODES_PER_PRIME: usize = 4;
 
 /// Collects candidate rectification pins for the cone of `root`:
 /// every gate input pin whose consumer lies in the cone, plus the output
@@ -74,13 +77,18 @@ pub struct Selection {
 impl Selection {
     /// Creates the encoding for `num_points` points over `num_pins` pins.
     pub fn new(t_base: u32, num_points: usize, num_pins: usize) -> Self {
-        let bits = usize::BITS - (num_pins.max(2) - 1).leading_zeros();
         Selection {
             t_base,
-            bits_per_block: bits,
+            bits_per_block: Self::block_bits(num_pins),
             num_points,
             num_pins,
         }
+    }
+
+    /// Bits per block over `num_pins` pins: `⌈log2 M⌉` (at least 1).
+    pub(crate) const fn block_bits(num_pins: usize) -> u32 {
+        let n = if num_pins < 2 { 2 } else { num_pins };
+        usize::BITS - (n - 1).leading_zeros()
     }
 
     /// Total `t` variables: `m · ⌈log2 M⌉` (the count derived in §4.2).
@@ -124,24 +132,6 @@ impl Selection {
         }
         Ok(sel)
     }
-
-    /// The data-1 expression of pin `j`: `(t_1^j → y_1) ∧ … ∧ (t_m^j → y_m)`
-    /// (merging multiple selections of the same pin, §4.2).
-    ///
-    /// # Errors
-    ///
-    /// [`BddError::NodeLimit`] when the manager budget is exhausted.
-    pub fn data1(&self, m: &mut BddManager, pin_code: usize, y_base: u32) -> Result<Bdd, BddError> {
-        let mut acc = m.one();
-        for i in 0..self.num_points {
-            let t = self.minterm(m, i, pin_code)?;
-            let nt = m.not(t)?;
-            let y = m.var(y_base + i as u32);
-            let imp = m.or(nt, y)?;
-            acc = m.and(acc, imp)?;
-        }
-        Ok(acc)
-    }
 }
 
 /// A decoded candidate point-set: the pins a prime cube of `H(t)` admits.
@@ -163,36 +153,31 @@ pub type PointSet = Vec<Pin>;
 /// each living in the small `(t, y)` space, and never materializing the
 /// monolithic mixed-`(t, y, z)` diagram.
 ///
-/// Two constructions compute that function; both yield the *same*
-/// canonical BDD, so everything downstream (prime cubes, decoded sets,
-/// patches) is identical:
-///
-/// * **Simulation-driven** (`h_char_by_simulation`): per sample, `H` at a
-///   selection `t` depends only on the *set* `S` of pins `t` frees, the
-///   freed pins take every value combination (distinct pins use disjoint
-///   `y` variables), and feasibility is monotone in `S` — freeing an extra
-///   pin can always re-drive its original value. So the minimal feasible
-///   pin-sets are found with 64-wide bit-parallel cone simulation and
-///   `H(t) = ⋁_S ⋀_{j∈S} sel_j(t)` is assembled from the tiny per-pin
-///   selection BDDs. No per-sample BDD work at all.
-/// * **Restriction-driven** (`h_char_by_restriction`): the direct
-///   sample-wise conjunction above, used when `Σ_s C(|pins|, s)` exceeds
-///   the enumeration budget (large `m` over many pins).
+/// The construction (`h_char_by_simulation`) never builds those
+/// per-sample functions either: per sample, `H` at a selection `t` depends
+/// only on the *set* `S` of pins `t` frees, the freed pins take every value
+/// combination (distinct pins use disjoint `y` variables), and feasibility
+/// is monotone in `S` — freeing an extra pin can always re-drive its
+/// original value. So the minimal feasible pin-sets are found with 64-wide
+/// bit-parallel cone simulation and `H(t) = ⋁_S ⋀_{j∈S} sel_j(t)` is
+/// assembled from the tiny per-pin selection BDDs. The direct sample-wise
+/// conjunction is kept only as a test oracle, which must yield the same
+/// canonical BDD.
 ///
 /// Arguments:
 /// * `samples` — the domain's assignments, implementation input order,
 /// * `fprime_bits` — the revised output value `f'(x̂_k)` per sample
 ///   (see [`SamplingDomain::code_assignment`](crate::sampling::SamplingDomain::code_assignment)),
-/// * `pins` — candidate pins from [`candidate_pins`],
-/// * `y_base` — first `y` variable (one per point, allocated by the caller
-///   so that `y` sits between `t` and `z` in the order).
+/// * `pins` — candidate pins from [`candidate_pins`].
 ///
 /// Returns point-sets sorted by size (smallest first), each satisfying the
 /// topological constraint of §3.3 (no path between any pair of pins).
 ///
 /// # Errors
 ///
-/// [`BddError::NodeLimit`] when the manager budget is exhausted — callers
+/// [`BddError::NodeLimit`] when the manager budget is exhausted, or when the
+/// selection is too large to enumerate (more than 128 gate pins, more than
+/// 8 pins freed together, or more than 200 000 pin subsets) — callers
 /// retry with fewer candidate pins or fall back to output rewiring.
 ///
 /// # Panics
@@ -208,16 +193,13 @@ pub fn feasible_point_sets(
     output_index: u32,
     pins: &[Pin],
     selection: &Selection,
-    y_base: u32,
-    max_point_sets: usize,
-    max_decodes_per_prime: usize,
 ) -> Result<Vec<PointSet>, BddError> {
     assert_eq!(
         fprime_bits.len(),
         samples.len(),
         "one revised-output bit per sample"
     );
-    let h_char = match h_char_by_simulation(
+    let h_char = h_char_by_simulation(
         circuit,
         m,
         samples,
@@ -226,33 +208,20 @@ pub fn feasible_point_sets(
         output_index,
         pins,
         selection,
-    )? {
-        Some(h) => h,
-        None => h_char_by_restriction(
-            circuit,
-            m,
-            samples,
-            fprime_bits,
-            root,
-            output_index,
-            pins,
-            selection,
-            y_base,
-        )?,
-    };
+    )?;
     if h_char == m.zero() {
         return Ok(Vec::new());
     }
 
     // Prime cubes of H(t) seed the explicit point-set list.
-    let primes = m.prime_cubes(h_char, max_point_sets)?;
+    let primes = m.prime_cubes(h_char, MAX_POINT_SETS)?;
     let mut out: Vec<PointSet> = Vec::new();
     for prime in &primes {
-        for decoded in decode_prime(selection, prime, pins, max_decodes_per_prime) {
+        for decoded in decode_prime(selection, prime, pins, MAX_DECODES_PER_PRIME) {
             if decoded.is_empty() {
                 continue;
             }
-            if !topological_constraint_ok(circuit, &decoded, output_index) {
+            if !topological_constraint_ok(circuit, &decoded) {
                 continue;
             }
             if !out.contains(&decoded) {
@@ -264,10 +233,39 @@ pub fn feasible_point_sets(
     Ok(out)
 }
 
-/// Enumeration ceiling for the simulation-driven `H(t)` construction:
-/// candidate pin-subsets beyond this count fall back to the BDD
-/// restriction path.
-const SUBSET_BUDGET: u64 = 200_000;
+/// Enumeration ceiling of the `H(t)` construction: a selection with more
+/// candidate pin-subsets than this is cut (see [`enumerable`]).
+pub(crate) const SUBSET_BUDGET: u64 = 200_000;
+
+/// Whether `H(t)` over `gate_pins` candidate gate pins and selections of
+/// up to `depth` points is within the construction's reach: at most 128
+/// gate pins (`u128` pin masks), at most 8 pins freed together (`u8`
+/// per-subset dependency masks), and `Σ_{s=1}^{depth} C(gate_pins, s)` ≤
+/// [`SUBSET_BUDGET`] subsets to enumerate.
+///
+/// [`feasible_point_sets`] answers a selection outside this reach with
+/// [`BddError::NodeLimit`], the cut the rectify search meets by halving
+/// its pin cap; the search's own caps are asserted inside it at compile
+/// time.
+pub(crate) const fn enumerable(gate_pins: usize, depth: usize) -> bool {
+    let depth = if depth < gate_pins { depth } else { gate_pins };
+    if gate_pins > 128 || depth > 8 {
+        return false;
+    }
+    let g = gate_pins as u64;
+    let mut total = 0u64;
+    let mut c = 1u64;
+    let mut s = 1u64;
+    while s <= depth as u64 {
+        c = c * (g - s + 1) / s;
+        total += c;
+        if total > SUBSET_BUDGET {
+            return false;
+        }
+        s += 1;
+    }
+    true
+}
 
 /// Advances `idx` to the next lexicographic `idx.len()`-combination of
 /// `0..n`; returns `false` when exhausted.
@@ -312,8 +310,8 @@ fn next_combination(idx: &mut [usize], n: usize) -> bool {
 /// feasible alone (drive `y = f'`); output pins of *other* outputs free
 /// nothing in this cone and can never appear in a minimal set.
 ///
-/// Returns `None` when the candidate-subset count exceeds
-/// [`SUBSET_BUDGET`] — the caller falls back to the restriction path.
+/// Cuts with [`BddError::NodeLimit`] (reporting [`SUBSET_BUDGET`] as the
+/// limit) when the selection is not [`enumerable`].
 #[allow(clippy::too_many_arguments)]
 fn h_char_by_simulation(
     circuit: &Circuit,
@@ -324,7 +322,7 @@ fn h_char_by_simulation(
     output_index: u32,
     pins: &[Pin],
     selection: &Selection,
-) -> Result<Option<Bdd>, BddError> {
+) -> Result<Bdd, BddError> {
     let m_pts = selection.num_points;
     let gate_pins: Vec<usize> = pins
         .iter()
@@ -336,18 +334,10 @@ fn h_char_by_simulation(
         .iter()
         .position(|p| matches!(p, Pin::Output { index } if *index == output_index));
     let depth = m_pts.min(gate_pins.len());
-    if gate_pins.len() > 128 {
-        return Ok(None); // u128 pin masks below
-    }
-    let g = gate_pins.len() as u64;
-    let mut total = 0u64;
-    let mut c = 1u64;
-    for s in 1..=depth as u64 {
-        c = c * (g - s + 1) / s;
-        total = total.saturating_add(c);
-        if total > SUBSET_BUDGET {
-            return Ok(None);
-        }
+    if !enumerable(gate_pins.len(), depth) {
+        return Err(BddError::NodeLimit {
+            limit: SUBSET_BUDGET as usize,
+        });
     }
 
     let order = topo::topo_order(circuit).expect("engine guarantees acyclic circuits");
@@ -450,10 +440,10 @@ fn h_char_by_simulation(
         .zip(&blocks)
         .all(|(base, block)| (base[root.index()] ^ block.fprime) & block.mask == 0)
     {
-        return Ok(Some(m.one()));
+        return Ok(m.one());
     }
     if m_pts == 0 {
-        return Ok(Some(m.zero()));
+        return Ok(m.zero());
     }
 
     // ∃v per sample, ∀ samples: for each block, OR the match words over all
@@ -635,135 +625,7 @@ fn h_char_by_simulation(
         }
         h = m.or(h, term)?;
     }
-    Ok(Some(h))
-}
-
-/// The restriction-driven `H(t)` construction: the direct sample-wise
-/// conjunction, for selections whose pin-subset space is too large to
-/// enumerate.
-#[allow(clippy::too_many_arguments)]
-fn h_char_by_restriction(
-    circuit: &Circuit,
-    m: &mut BddManager,
-    samples: &[Vec<bool>],
-    fprime_bits: &[bool],
-    root: NetId,
-    output_index: u32,
-    pins: &[Pin],
-    selection: &Selection,
-    y_base: u32,
-) -> Result<Bdd, BddError> {
-    // Precompute per-pin selection and data-1 functions.
-    let mut sels = Vec::with_capacity(pins.len());
-    let mut data1s = Vec::with_capacity(pins.len());
-    for j in 0..pins.len() {
-        sels.push(selection.select(m, j)?);
-        data1s.push(selection.data1(m, j, y_base)?);
-    }
-
-    // Parameterized evaluation: every candidate gate pin is guarded by
-    // ite(sel_j, data1_j, original) — the MUX of Figure 2.
-    let mut pin_subst: HashMap<Pin, usize> = HashMap::new();
-    let mut output_pin_code: Option<usize> = None;
-    for (j, &pin) in pins.iter().enumerate() {
-        match pin {
-            Pin::Gate { .. } => {
-                pin_subst.insert(pin, j);
-            }
-            Pin::Output { index } if index == output_index => {
-                output_pin_code = Some(j);
-            }
-            Pin::Output { .. } => {}
-        }
-    }
-    let y_vars: Vec<u32> = (0..selection.num_points)
-        .map(|i| y_base + i as u32)
-        .collect();
-    let y_cube = m.var_cube(&y_vars)?;
-
-    // The cone's structure is sample-independent: hoist the traversal
-    // order and membership out of the per-sample loop.
-    let order = topo::topo_order(circuit).expect("engine guarantees acyclic circuits");
-    let in_cone = topo::tfi(circuit, &[root.source()]);
-    let cone: Vec<NodeId> = order.into_iter().filter(|id| in_cone[id.index()]).collect();
-    // The restricted cone depends on a sample only through its projection
-    // onto the cone's input support — memoize `h|_{x̂}` on that key, and
-    // skip conjuncts (same `h`, same revised bit) seen before: `∧` is
-    // idempotent, so duplicates cannot change `H(t)`.
-    let support: Vec<usize> = cone
-        .iter()
-        .filter(|&&id| circuit.node(id).kind() == GateKind::Input)
-        .map(|&id| {
-            circuit
-                .input_position(id)
-                .expect("input node is registered")
-        })
-        .collect();
-    let mut h_memo: HashMap<Vec<bool>, Bdd> = HashMap::new();
-    let mut seen: std::collections::HashSet<(Bdd, bool)> = std::collections::HashSet::new();
-
-    // Padded codes alias real samples (`k mod N`), so quantifying over the
-    // full code space conjoins exactly one conjunct per distinct sample.
-    let mut h_char = m.one();
-    let mut values: Vec<Option<Bdd>> = vec![None; circuit.num_nodes()];
-    for (k, sample) in samples.iter().enumerate() {
-        let key: Vec<bool> = support
-            .iter()
-            .map(|&pos| sample.get(pos).copied().unwrap_or(false))
-            .collect();
-        let h = match h_memo.get(&key) {
-            Some(&h) => h,
-            None => {
-                values.iter_mut().for_each(|v| *v = None);
-                for &id in &cone {
-                    let node = circuit.node(id);
-                    let v = match node.kind() {
-                        GateKind::Input => {
-                            let pos = circuit
-                                .input_position(id)
-                                .expect("input node is registered");
-                            if sample.get(pos).copied().unwrap_or(false) {
-                                m.one()
-                            } else {
-                                m.zero()
-                            }
-                        }
-                        kind => {
-                            let mut fanins: Vec<Bdd> = Vec::with_capacity(node.fanins().len());
-                            for (pos, f) in node.fanins().iter().enumerate() {
-                                let orig = values[f.index()].expect("topological order");
-                                let pin = Pin::gate(id, pos as u8);
-                                let v = match pin_subst.get(&pin) {
-                                    Some(&j) => m.ite(sels[j], data1s[j], orig)?,
-                                    None => orig,
-                                };
-                                fanins.push(v);
-                            }
-                            apply_gate_bdd(m, kind, &fanins)?
-                        }
-                    };
-                    values[id.index()] = Some(v);
-                }
-                let mut h = values[root.index()].expect("root is in its own cone");
-                if let Some(j) = output_pin_code {
-                    h = m.ite(sels[j], data1s[j], h)?;
-                }
-                h_memo.insert(key, h);
-                h
-            }
-        };
-        if !seen.insert((h, fprime_bits[k])) {
-            continue;
-        }
-        // h ≡ f'(x̂_k) against a constant is h itself or its complement.
-        let eq = if fprime_bits[k] { h } else { m.not(h)? };
-        let feasible_k = m.exists(eq, y_cube)?;
-        h_char = m.and(h_char, feasible_k)?;
-        if h_char == m.zero() {
-            break;
-        }
-    }
-    Ok(h_char)
+    Ok(h)
 }
 
 /// Decodes one prime cube of `H(t)` into concrete point-sets.
@@ -836,8 +698,7 @@ fn decode_prime(selection: &Selection, prime: &Cube, pins: &[Pin], max: usize) -
 /// Checks the topological constraint of §3.3: no path may connect any pair
 /// of the selected pins. The output pin is downstream of the whole cone, so
 /// it only ever appears in singleton sets.
-pub fn topological_constraint_ok(circuit: &Circuit, pins: &[Pin], output_index: u32) -> bool {
-    let _ = output_index;
+pub fn topological_constraint_ok(circuit: &Circuit, pins: &[Pin]) -> bool {
     for (a, &pa) in pins.iter().enumerate() {
         for &pb in pins.iter().skip(a + 1) {
             match (pa.node(), pb.node()) {
@@ -864,7 +725,156 @@ pub fn topological_constraint_ok(circuit: &Circuit, pins: &[Pin], output_index: 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sampling::apply_gate_bdd;
     use eco_netlist::{Circuit, GateKind};
+
+    impl Selection {
+        /// The data-1 expression of pin `j`: `(t_1^j → y_1) ∧ … ∧ (t_m^j → y_m)`
+        /// (merging multiple selections of the same pin, §4.2).
+        ///
+        /// # Errors
+        ///
+        /// [`BddError::NodeLimit`] when the manager budget is exhausted.
+        fn data1(&self, m: &mut BddManager, pin_code: usize, y_base: u32) -> Result<Bdd, BddError> {
+            let mut acc = m.one();
+            for i in 0..self.num_points {
+                let t = self.minterm(m, i, pin_code)?;
+                let nt = m.not(t)?;
+                let y = m.var(y_base + i as u32);
+                let imp = m.or(nt, y)?;
+                acc = m.and(acc, imp)?;
+            }
+            Ok(acc)
+        }
+    }
+
+    /// The restriction-driven `H(t)` construction: the direct sample-wise
+    /// conjunction of the module docs, the reference oracle the
+    /// simulation-driven construction is checked against.
+    #[allow(clippy::too_many_arguments)]
+    fn h_char_by_restriction(
+        circuit: &Circuit,
+        m: &mut BddManager,
+        samples: &[Vec<bool>],
+        fprime_bits: &[bool],
+        root: NetId,
+        output_index: u32,
+        pins: &[Pin],
+        selection: &Selection,
+        y_base: u32,
+    ) -> Result<Bdd, BddError> {
+        // Precompute per-pin selection and data-1 functions.
+        let mut sels = Vec::with_capacity(pins.len());
+        let mut data1s = Vec::with_capacity(pins.len());
+        for j in 0..pins.len() {
+            sels.push(selection.select(m, j)?);
+            data1s.push(selection.data1(m, j, y_base)?);
+        }
+
+        // Parameterized evaluation: every candidate gate pin is guarded by
+        // ite(sel_j, data1_j, original) — the MUX of Figure 2.
+        let mut pin_subst: HashMap<Pin, usize> = HashMap::new();
+        let mut output_pin_code: Option<usize> = None;
+        for (j, &pin) in pins.iter().enumerate() {
+            match pin {
+                Pin::Gate { .. } => {
+                    pin_subst.insert(pin, j);
+                }
+                Pin::Output { index } if index == output_index => {
+                    output_pin_code = Some(j);
+                }
+                Pin::Output { .. } => {}
+            }
+        }
+        let y_vars: Vec<u32> = (0..selection.num_points)
+            .map(|i| y_base + i as u32)
+            .collect();
+        let y_cube = m.var_cube(&y_vars)?;
+
+        // The cone's structure is sample-independent: hoist the traversal
+        // order and membership out of the per-sample loop.
+        let order = topo::topo_order(circuit).expect("engine guarantees acyclic circuits");
+        let in_cone = topo::tfi(circuit, &[root.source()]);
+        let cone: Vec<NodeId> = order.into_iter().filter(|id| in_cone[id.index()]).collect();
+        // The restricted cone depends on a sample only through its projection
+        // onto the cone's input support — memoize `h|_{x̂}` on that key, and
+        // skip conjuncts (same `h`, same revised bit) seen before: `∧` is
+        // idempotent, so duplicates cannot change `H(t)`.
+        let support: Vec<usize> = cone
+            .iter()
+            .filter(|&&id| circuit.node(id).kind() == GateKind::Input)
+            .map(|&id| {
+                circuit
+                    .input_position(id)
+                    .expect("input node is registered")
+            })
+            .collect();
+        let mut h_memo: HashMap<Vec<bool>, Bdd> = HashMap::new();
+        let mut seen: std::collections::HashSet<(Bdd, bool)> = std::collections::HashSet::new();
+
+        // Padded codes alias real samples (`k mod N`), so quantifying over the
+        // full code space conjoins exactly one conjunct per distinct sample.
+        let mut h_char = m.one();
+        let mut values: Vec<Option<Bdd>> = vec![None; circuit.num_nodes()];
+        for (k, sample) in samples.iter().enumerate() {
+            let key: Vec<bool> = support
+                .iter()
+                .map(|&pos| sample.get(pos).copied().unwrap_or(false))
+                .collect();
+            let h = match h_memo.get(&key) {
+                Some(&h) => h,
+                None => {
+                    values.iter_mut().for_each(|v| *v = None);
+                    for &id in &cone {
+                        let node = circuit.node(id);
+                        let v = match node.kind() {
+                            GateKind::Input => {
+                                let pos = circuit
+                                    .input_position(id)
+                                    .expect("input node is registered");
+                                if sample.get(pos).copied().unwrap_or(false) {
+                                    m.one()
+                                } else {
+                                    m.zero()
+                                }
+                            }
+                            kind => {
+                                let mut fanins: Vec<Bdd> = Vec::with_capacity(node.fanins().len());
+                                for (pos, f) in node.fanins().iter().enumerate() {
+                                    let orig = values[f.index()].expect("topological order");
+                                    let pin = Pin::gate(id, pos as u8);
+                                    let v = match pin_subst.get(&pin) {
+                                        Some(&j) => m.ite(sels[j], data1s[j], orig)?,
+                                        None => orig,
+                                    };
+                                    fanins.push(v);
+                                }
+                                apply_gate_bdd(m, kind, &fanins)?
+                            }
+                        };
+                        values[id.index()] = Some(v);
+                    }
+                    let mut h = values[root.index()].expect("root is in its own cone");
+                    if let Some(j) = output_pin_code {
+                        h = m.ite(sels[j], data1s[j], h)?;
+                    }
+                    h_memo.insert(key, h);
+                    h
+                }
+            };
+            if !seen.insert((h, fprime_bits[k])) {
+                continue;
+            }
+            // h ≡ f'(x̂_k) against a constant is h itself or its complement.
+            let eq = if fprime_bits[k] { h } else { m.not(h)? };
+            let feasible_k = m.exists(eq, y_cube)?;
+            h_char = m.and(h_char, feasible_k)?;
+            if h_char == m.zero() {
+                break;
+            }
+        }
+        Ok(h_char)
+    }
 
     /// impl: y = a AND b (wrong); spec: y = a OR b.
     fn and_vs_or() -> (Circuit, Circuit) {
@@ -942,26 +952,13 @@ mod tests {
         // Allocate: t at 0.., y after, z last.
         let pins = candidate_pins(&c, root, 0, 8);
         let sel = Selection::new(0, 1, pins.len());
-        let y_base = sel.t_base + sel.num_t_vars();
         // Spec shares input order here: f'(x̂_k) per sample.
         let fprime_bits: Vec<bool> = samples
             .iter()
             .map(|x| s.eval_nets(x).unwrap()[s.outputs()[0].net().index()])
             .collect();
-        let sets = feasible_point_sets(
-            &c,
-            &mut m,
-            &samples,
-            &fprime_bits,
-            root,
-            0,
-            &pins,
-            &sel,
-            y_base,
-            8,
-            4,
-        )
-        .unwrap();
+        let sets =
+            feasible_point_sets(&c, &mut m, &samples, &fprime_bits, root, 0, &pins, &sel).unwrap();
         assert!(!sets.is_empty(), "a single free pin can fix and→or");
         for set in &sets {
             assert_eq!(set.len(), 1, "m=1 yields singletons: {set:?}");
@@ -980,29 +977,16 @@ mod tests {
         let samples = vec![vec![true, true], vec![false, true]];
         let pins = candidate_pins(&c, root, 0, 8);
         let sel = Selection::new(0, 1, pins.len());
-        let y_base = sel.t_base + sel.num_t_vars();
         let fprime_bits: Vec<bool> = samples
             .iter()
             .map(|x| s.eval_nets(x).unwrap()[s.outputs()[0].net().index()])
             .collect();
-        let sets = feasible_point_sets(
-            &c,
-            &mut m,
-            &samples,
-            &fprime_bits,
-            root,
-            0,
-            &pins,
-            &sel,
-            y_base,
-            8,
-            4,
-        )
-        .unwrap();
+        let sets =
+            feasible_point_sets(&c, &mut m, &samples, &fprime_bits, root, 0, &pins, &sel).unwrap();
         // H(t) is a tautology here; whatever decodes must satisfy the
         // topological constraint and reference known pins.
         for set in &sets {
-            assert!(topological_constraint_ok(&c, set, 0));
+            assert!(topological_constraint_ok(&c, set));
             for p in set {
                 assert!(pins.contains(p));
             }
@@ -1056,7 +1040,6 @@ mod tests {
                 let mut m = BddManager::new();
                 let fast =
                     h_char_by_simulation(&c, &mut m, &samples, &fprime_bits, root, 0, &pins, &sel)
-                        .unwrap()
                         .expect("small pin space stays under the budget");
                 let slow = h_char_by_restriction(
                     &c,
@@ -1076,6 +1059,36 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A selection with more pin-subsets than [`SUBSET_BUDGET`] is a
+    /// node-limit cut, which the rectify pin-cap ladder answers; one point
+    /// fewer is in reach.
+    #[test]
+    fn over_budget_selection_is_a_node_limit_cut() {
+        let mut c = Circuit::new("chain");
+        let a = c.add_input("a");
+        let b = c.add_input("b");
+        let mut w = a;
+        for _ in 0..60 {
+            w = c.add_gate(GateKind::And, &[w, b]).unwrap();
+        }
+        c.add_output("y", w);
+        let pins = candidate_pins(&c, w, 0, 128);
+        assert_eq!(pins.len(), 121); // 120 gate pins + the output pin
+        let samples = vec![vec![true, true], vec![false, true]];
+        let fprime_bits = vec![false, true];
+        let run = |m_points: usize| {
+            let sel = Selection::new(0, m_points, pins.len());
+            let mut m = BddManager::new();
+            feasible_point_sets(&c, &mut m, &samples, &fprime_bits, w, 0, &pins, &sel)
+        };
+        // C(120, 1) + C(120, 2) + C(120, 3) = 288 100 > 200 000.
+        assert!(!enumerable(120, 3));
+        assert!(matches!(run(3), Err(BddError::NodeLimit { .. })));
+        // C(120, 1) + C(120, 2) = 7 260.
+        assert!(enumerable(120, 2));
+        assert!(!run(2).unwrap().is_empty());
     }
 
     #[test]
@@ -1099,11 +1112,11 @@ mod tests {
         // Pins on g1 and g2: g1 feeds g2, so the pair is rejected.
         let p1 = Pin::gate(g1.source(), 0);
         let p2 = Pin::gate(g2.source(), 0);
-        assert!(!topological_constraint_ok(&c, &[p1, p2], 0));
+        assert!(!topological_constraint_ok(&c, &[p1, p2]));
         // Sibling pins of the same gate have no path between them.
         let p3 = Pin::gate(g2.source(), 1);
-        assert!(topological_constraint_ok(&c, &[p2, p3], 0));
+        assert!(topological_constraint_ok(&c, &[p2, p3]));
         // Output pin combined with a gate pin is rejected.
-        assert!(!topological_constraint_ok(&c, &[p1, Pin::output(0)], 0));
+        assert!(!topological_constraint_ok(&c, &[p1, Pin::output(0)]));
     }
 }

@@ -55,7 +55,7 @@ use crate::fault::SpanPoint;
 use crate::memo::{CacheSession, OutputEntry, WarmStart};
 use crate::options::EcoOptions;
 use crate::patch::Patch;
-use crate::points::{candidate_pins, feasible_point_sets, Selection};
+use crate::points::{self, candidate_pins, feasible_point_sets, Selection};
 use crate::prefilter;
 use crate::progress::{emit, OutputAction, ProgressCallback, ProgressEvent};
 use crate::rewire_nets::{candidates_for_pin, RewireCandidate, RewireNetContext};
@@ -70,6 +70,38 @@ const C_BASE: u32 = 0;
 const T_BASE: u32 = 64;
 const Y_BASE: u32 = 128;
 const Z_BASE: u32 = 140;
+
+/// Maximum number of rectification points `m` tried per output (§4.2).
+const MAX_POINTS: usize = 3;
+/// Cap `M` on candidate sink pins considered per output; a BDD node-limit
+/// cut halves it (the §8 degradation ladder).
+const MAX_CANDIDATE_PINS: usize = 48;
+/// Maximum counterexample-refinement rounds per output before falling
+/// back to the next candidate.
+const MAX_REFINEMENTS: usize = 6;
+/// Hard cap on SAT validations per output per domain attempt; when
+/// exhausted, the best validated option so far is committed (or the search
+/// falls back).
+const MAX_VALIDATIONS_PER_OUTPUT: usize = 24;
+/// Stop escalating to more rectification points once a validated option
+/// with at most this clone cost (in spec gates) exists.
+const GOOD_ENOUGH_COST: usize = 4;
+/// Node budget of the per-output BDD manager.
+const BDD_NODE_LIMIT: usize = 2_000_000;
+/// Live-node threshold that triggers a BDD mark-and-sweep pass at the next
+/// point-set boundary of a search. Adapts upward after each pass so a
+/// genuinely large working set is not thrashed.
+const BDD_GC_THRESHOLD: Option<usize> = Some(1 << 16);
+
+// Every selection the search builds — at most `MAX_POINTS` points over at
+// most `MAX_CANDIDATE_PINS - 1` gate pins plus the output pin — is within
+// the H(t) enumeration's reach, so its over-budget cut never fires here,
+// and the selection and rectification-input blocks fit the variable layout.
+const _: () = assert!(points::enumerable(MAX_CANDIDATE_PINS - 1, MAX_POINTS));
+const _: () = assert!(
+    MAX_POINTS as u32 * Selection::block_bits(MAX_CANDIDATE_PINS) <= Y_BASE - T_BASE
+        && Y_BASE + MAX_POINTS as u32 <= Z_BASE
+);
 
 /// How one output was handled, with its search wall-clock.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -226,52 +258,6 @@ enum Attempt {
     BudgetOut(DegradeReason),
 }
 
-/// Runs the full rectification flow, mutating `implementation` in place.
-///
-/// Returns the accumulated [`Patch`] and run statistics. The caller (the
-/// [`Session`](crate::Session) engine flow) is responsible for pre-normalizing
-/// ports and for the post-processing patch sweep.
-///
-/// With `budget: None`, a budget is built from `options.timeout` (unlimited
-/// when unset). Pass `Some(budget)` to share an externally owned
-/// [`Budget`] — e.g. one carrying a cancellation token.
-///
-/// # Errors
-///
-/// [`EcoError`] on malformed inputs; resource exhaustion inside the search
-/// degrades to the fallback instead of erroring.
-pub fn rewire_rectify(
-    implementation: &mut Circuit,
-    spec: &Circuit,
-    options: &EcoOptions,
-    budget: Option<&Budget>,
-) -> Result<(Patch, RectifyStats), EcoError> {
-    let pool = WorkerPool::new(options.effective_jobs());
-    let owned;
-    let budget = match budget {
-        Some(b) => b,
-        None => {
-            owned = match options.timeout {
-                Some(t) => Budget::with_deadline(t),
-                None => Budget::unlimited(),
-            };
-            &owned
-        }
-    };
-    rewire_rectify_with(
-        implementation,
-        spec,
-        options,
-        budget,
-        None,
-        &pool,
-        &Telemetry::disabled(),
-        None,
-        None,
-    )
-    .map(|(patch, stats, _trace, _committed)| (patch, stats))
-}
-
 /// Extracts a human-readable message from a caught panic payload.
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -311,9 +297,10 @@ fn count_bdd(counters: &mut Counters, m: &BddManager) {
     counters.max(Gauge::BddUniqueEntries, m.unique_table_len() as u64);
 }
 
-/// [`rewire_rectify`] with an explicit observer, worker pool, and telemetry
-/// handle — the internal entry used by [`Session`](crate::Session) and the
-/// batch API.
+/// Runs the full rectification flow, mutating `implementation` in place,
+/// and returns the accumulated [`Patch`] and run statistics — the flow
+/// behind [`Session`](crate::Session), which pre-normalizes ports and runs
+/// the post-processing patch sweep around it.
 ///
 /// Per-output searches are isolated: a budget expiry, an error, or a panic
 /// inside one output's search degrades only that output to the
@@ -1149,8 +1136,8 @@ fn search_one_output(
         }
     }
 
-    let mut pin_cap = options.max_candidate_pins.max(2);
-    let mut refinements_left = options.max_refinements;
+    let mut pin_cap = MAX_CANDIDATE_PINS;
+    let mut refinements_left = MAX_REFINEMENTS;
     let mut ended: Option<DegradeReason> = None;
     loop {
         if let Some(reason) = budget.degrade_reason() {
@@ -1258,12 +1245,12 @@ fn attempt_with_domain(
     let node_limit = if budget.inject_bdd_node_limit() {
         1 // fault injection: force an immediate NodeLimit on the first op
     } else {
-        options.bdd_node_limit
+        BDD_NODE_LIMIT
     };
     let mut m = BddManager::with_node_limit(node_limit);
     // Automatic collection trigger, checked at point-set boundaries. Fault
     // arming may lower it to force the machinery under test.
-    m.set_gc_threshold(options.bdd_gc_threshold);
+    m.set_gc_threshold(BDD_GC_THRESHOLD);
     budget.arm_bdd(&mut m);
     let result = attempt_in_manager(
         &mut m,
@@ -1376,10 +1363,10 @@ fn attempt_in_manager(
             .sum()
     };
     let mut valid: Vec<ValidOption> = Vec::new();
-    let mut validations_left = options.max_validations_per_output;
+    let mut validations_left = MAX_VALIDATIONS_PER_OUTPUT;
     let mut unknowns = 0usize;
     let mut cut: Option<DegradeReason> = None;
-    'outer: for m_points in 1..=options.max_points.clamp(1, 8) {
+    'outer: for m_points in 1..=MAX_POINTS {
         if let Some(reason) = budget.degrade_reason() {
             if valid.is_empty() {
                 return Ok(Attempt::BudgetOut(reason));
@@ -1389,13 +1376,10 @@ fn attempt_in_manager(
         }
         // Escalating m is for finding *cheaper* multi-point rewirings; once
         // a good-enough option exists, stop growing the search.
-        if valid.iter().any(|v| v.cost <= options.good_enough_cost) {
+        if valid.iter().any(|v| v.cost <= GOOD_ENOUGH_COST) {
             break;
         }
         let selection = Selection::new(T_BASE, m_points, pins.len());
-        if selection.t_base + selection.num_t_vars() > Y_BASE {
-            break; // encoding exceeds the reserved t block
-        }
         let t_sets = Instant::now();
         let span_sets = buf.start();
         budget.fault_span(SpanPoint::PointSets)?;
@@ -1408,9 +1392,6 @@ fn attempt_in_manager(
             pair.impl_index,
             &pins,
             &selection,
-            Y_BASE,
-            options.max_point_sets,
-            options.max_decodes_per_prime,
         ) {
             Ok(s) => s,
             Err(e) => {
@@ -1451,13 +1432,7 @@ fn attempt_in_manager(
             );
             let mut cand_lists: Vec<Vec<RewireCandidate>> = Vec::with_capacity(point_set.len());
             for &p in &point_set {
-                cand_lists.push(candidates_for_pin(
-                    base,
-                    &ctx,
-                    p,
-                    options.max_rewire_candidates,
-                    timing,
-                )?);
+                cand_lists.push(candidates_for_pin(base, &ctx, p, timing)?);
             }
             let span_choices = buf.start();
             budget.fault_span(SpanPoint::Choices)?;
@@ -1475,7 +1450,6 @@ fn attempt_in_manager(
                 Y_BASE,
                 C_BASE,
                 &domain.z_vars(),
-                options.max_choices,
             ) {
                 Ok(c) => c,
                 Err(e) => return bdd_cut(e),
@@ -1682,6 +1656,29 @@ mod tests {
     use eco_netlist::GateKind;
     use std::sync::{Arc, Mutex};
 
+    /// The rectification flow alone: no observer, telemetry, cache or
+    /// checkpoint.
+    fn rewire_rectify(
+        implementation: &mut Circuit,
+        spec: &Circuit,
+        options: &EcoOptions,
+        budget: &Budget,
+    ) -> Result<(Patch, RectifyStats), EcoError> {
+        let pool = WorkerPool::new(options.effective_jobs());
+        rewire_rectify_with(
+            implementation,
+            spec,
+            options,
+            budget,
+            None,
+            &pool,
+            &Telemetry::disabled(),
+            None,
+            None,
+        )
+        .map(|(patch, stats, _trace, _committed)| (patch, stats))
+    }
+
     /// impl: y = a & b (wrong), d = a & b reused elsewhere must survive;
     /// spec: y = a | b, d unchanged.
     fn and_or_case() -> (Circuit, Circuit) {
@@ -1719,7 +1716,7 @@ mod tests {
     fn rectifies_and_to_or_preserving_sibling() {
         let (mut c, s) = and_or_case();
         let options = EcoOptions::with_seed(3);
-        let (patch, stats) = rewire_rectify(&mut c, &s, &options, None).unwrap();
+        let (patch, stats) = rewire_rectify(&mut c, &s, &options, &Budget::unlimited()).unwrap();
         check_equiv(&c, &s);
         assert_eq!(stats.outputs_failing, 1, "only y fails");
         assert!(!patch.rewires().is_empty());
@@ -1735,7 +1732,7 @@ mod tests {
         let mut c = c0.clone();
         let s = c0;
         let options = EcoOptions::with_seed(1);
-        let (patch, stats) = rewire_rectify(&mut c, &s, &options, None).unwrap();
+        let (patch, stats) = rewire_rectify(&mut c, &s, &options, &Budget::unlimited()).unwrap();
         assert_eq!(stats.outputs_failing, 0);
         assert!(patch.rewires().is_empty());
         assert_eq!(patch.stats(&c), crate::PatchStats::default());
@@ -1771,7 +1768,7 @@ mod tests {
         s.add_output("aux", sns1);
 
         let options = EcoOptions::with_seed(11);
-        let (patch, stats) = rewire_rectify(&mut c, &s, &options, None).unwrap();
+        let (patch, stats) = rewire_rectify(&mut c, &s, &options, &Budget::unlimited()).unwrap();
         check_equiv(&c, &s);
         let pstats = patch.stats(&c);
         assert_eq!(
@@ -1806,7 +1803,7 @@ mod tests {
         s.add_output("w", h3);
 
         let options = EcoOptions::with_seed(5);
-        let (_patch, stats) = rewire_rectify(&mut c, &s, &options, None).unwrap();
+        let (_patch, stats) = rewire_rectify(&mut c, &s, &options, &Budget::unlimited()).unwrap();
         check_equiv(&c, &s);
         assert_eq!(stats.outputs_failing, 2);
         c.check_well_formed().unwrap();
@@ -1873,7 +1870,7 @@ mod tests {
         let (mut c, s) = and_or_case();
         let budget = Budget::unlimited().with_faults(faults);
         let options = EcoOptions::with_seed(3);
-        let (_patch, stats) = rewire_rectify(&mut c, &s, &options, Some(&budget)).unwrap();
+        let (_patch, stats) = rewire_rectify(&mut c, &s, &options, &budget).unwrap();
         (c, s, stats)
     }
 
@@ -1937,7 +1934,7 @@ mod tests {
         let (mut c, s) = and_or_case();
         let budget = Budget::with_deadline(std::time::Duration::ZERO);
         let options = EcoOptions::with_seed(3);
-        let (_patch, stats) = rewire_rectify(&mut c, &s, &options, Some(&budget)).unwrap();
+        let (_patch, stats) = rewire_rectify(&mut c, &s, &options, &budget).unwrap();
         assert_eq!(stats.degradations.len(), stats.outputs_failing);
         for d in &stats.degradations {
             assert_eq!(d.reason, DegradeReason::DeadlineExceeded);
@@ -1954,7 +1951,7 @@ mod tests {
         token.cancel();
         let budget = Budget::unlimited().with_cancel(&token);
         let options = EcoOptions::with_seed(3);
-        let (_patch, stats) = rewire_rectify(&mut c, &s, &options, Some(&budget)).unwrap();
+        let (_patch, stats) = rewire_rectify(&mut c, &s, &options, &budget).unwrap();
         assert!(!stats.degradations.is_empty());
         for d in &stats.degradations {
             assert_eq!(d.reason, DegradeReason::Cancelled);
@@ -1966,7 +1963,7 @@ mod tests {
     fn clean_run_reports_no_degradations() {
         let (mut c, s) = and_or_case();
         let options = EcoOptions::with_seed(3);
-        let (_patch, stats) = rewire_rectify(&mut c, &s, &options, None).unwrap();
+        let (_patch, stats) = rewire_rectify(&mut c, &s, &options, &Budget::unlimited()).unwrap();
         assert!(stats.degradations.is_empty());
     }
 
@@ -1992,7 +1989,8 @@ mod tests {
             s.add_output("u", h1);
             s.add_output("v", h2);
             let options = EcoOptions::builder().seed(7).jobs(jobs).build();
-            let (patch, stats) = rewire_rectify(&mut c, &s, &options, None).unwrap();
+            let (patch, stats) =
+                rewire_rectify(&mut c, &s, &options, &Budget::unlimited()).unwrap();
             (format!("{:?}", patch.rewires()), stats.normalized())
         };
         let (p1, s1) = build(1);

@@ -215,7 +215,13 @@ impl RewireNetContext {
     }
 }
 
-/// Selects candidate rewiring nets for `pin`, ranked by utility.
+/// Candidate rewiring nets kept per rectification point (§4.3), including
+/// the trivial (current-driver) candidate; the two cheapest specification
+/// clones get a seat beyond it.
+const MAX_REWIRE_CANDIDATES: usize = 8;
+
+/// Selects up to `MAX_REWIRE_CANDIDATES` (8) candidate rewiring nets for
+/// `pin`, ranked by utility, plus up to two cheap specification clones.
 ///
 /// The first entry is always the trivial candidate (the current driver).
 /// Implementation candidates exclude nets in the transitive fanout of the
@@ -232,7 +238,6 @@ pub fn candidates_for_pin(
     implementation: &Circuit,
     ctx: &RewireNetContext,
     pin: Pin,
-    max_candidates: usize,
     timing: Option<&TimingReport>,
 ) -> Result<Vec<RewireCandidate>, NetlistError> {
     let driver = implementation.pin_net(pin)?;
@@ -308,7 +313,7 @@ pub fn candidates_for_pin(
             .copied()
             .unwrap_or(usize::MAX)
     });
-    pool.truncate(max_candidates.saturating_sub(1));
+    pool.truncate(MAX_REWIRE_CANDIDATES - 1);
     for extra in cheap_spec.into_iter().take(2) {
         if !pool
             .iter()
@@ -359,7 +364,7 @@ mod tests {
     fn trivial_candidate_is_first() {
         let (c, _s, _corr, ctx, g) = setup();
         let pin = Pin::gate(g.source(), 0);
-        let cands = candidates_for_pin(&c, &ctx, pin, 8, None).unwrap();
+        let cands = candidates_for_pin(&c, &ctx, pin, None).unwrap();
         let driver = c.pin_net(pin).unwrap();
         assert_eq!(cands[0].net, driver);
         assert!(!cands[0].from_spec);
@@ -372,7 +377,7 @@ mod tests {
         // net must appear as a high-utility candidate for the output pin.
         let (c, s, _corr, ctx, _g) = setup();
         let pin = Pin::output(0);
-        let cands = candidates_for_pin(&c, &ctx, pin, 8, None).unwrap();
+        let cands = candidates_for_pin(&c, &ctx, pin, None).unwrap();
         let spec_or = s.outputs()[0].net();
         let found = cands
             .iter()
@@ -401,7 +406,7 @@ mod tests {
         let samples = vec![vec![true, true], vec![true, false]];
         let ctx = RewireNetContext::build(&c, &s, &corr, sg, &samples).unwrap();
         let pin = Pin::gate(g.source(), 0);
-        let cands = candidates_for_pin(&c, &ctx, pin, 16, None).unwrap();
+        let cands = candidates_for_pin(&c, &ctx, pin, None).unwrap();
         for cand in &cands {
             if !cand.from_spec {
                 assert_ne!(cand.net, g, "own output is a cycle");
@@ -437,7 +442,7 @@ mod tests {
             vec![false, false, true],
         ];
         let ctx = RewireNetContext::build(&c, &s, &corr, sg, &samples).unwrap();
-        let cands = candidates_for_pin(&c, &ctx, Pin::output(0), 16, None).unwrap();
+        let cands = candidates_for_pin(&c, &ctx, Pin::output(0), None).unwrap();
         for cand in &cands {
             if !cand.from_spec {
                 assert_ne!(cand.net, stray, "stray depends on `extra`, outside f'");
@@ -463,8 +468,27 @@ mod tests {
 
     #[test]
     fn candidate_cap_respected() {
-        let (c, _s, _corr, ctx, _g) = setup();
-        let cands = candidates_for_pin(&c, &ctx, Pin::output(0), 3, None).unwrap();
-        assert!(cands.len() <= 3);
+        // Twelve useful implementation nets compete for the output pin.
+        let (mut c, _s, corr, _ctx, g) = setup();
+        let a = c.input_by_name("a").unwrap();
+        let b = c.input_by_name("b").unwrap();
+        let extra: Vec<NetId> = (0..12)
+            .map(|_| c.add_gate(GateKind::Or, &[a, b]).unwrap())
+            .collect();
+        let mut s = Circuit::new("spec");
+        let sa = s.add_input("a");
+        let sb = s.add_input("b");
+        let sg = s.add_gate(GateKind::Or, &[sa, sb]).unwrap();
+        s.add_output("y", sg);
+        let samples = vec![vec![true, false], vec![false, true]];
+        let ctx = RewireNetContext::build(&c, &s, &corr, sg, &samples).unwrap();
+        let cands = candidates_for_pin(&c, &ctx, Pin::output(0), None).unwrap();
+        assert_eq!(cands[0].net, g, "trivial candidate first");
+        let reused = cands
+            .iter()
+            .filter(|cand| extra.contains(&cand.net))
+            .count();
+        assert_eq!(reused, MAX_REWIRE_CANDIDATES - 1);
+        assert!(cands.len() <= MAX_REWIRE_CANDIDATES + 2);
     }
 }

@@ -65,17 +65,9 @@ fn all_sample_policies_are_correct() {
 }
 
 #[test]
-fn single_point_limit_still_succeeds() {
-    let mut options = EcoOptions::with_seed(22);
-    options.max_points = 1;
-    rectify_with(options);
-}
-
-#[test]
 fn tiny_validation_budget_degrades_to_fallback_not_failure() {
     let mut options = EcoOptions::with_seed(23);
     options.validation_budget = 1;
-    options.max_refinements = 1;
     let r = rectify_with(options);
     // With no budget the engine cannot confirm searches, but the fallback
     // path still rectifies everything: each failing output is resolved by a
@@ -91,20 +83,14 @@ fn tiny_validation_budget_degrades_to_fallback_not_failure() {
 }
 
 #[test]
-fn tiny_bdd_budget_degrades_gracefully() {
-    let mut options = EcoOptions::with_seed(24);
-    options.bdd_node_limit = 256;
-    rectify_with(options);
-}
-
-#[test]
 fn small_domain_needs_no_more_than_max_refinements() {
     let mut options = EcoOptions::with_seed(25);
     options.num_samples = 2;
-    options.max_refinements = 3;
     let r = rectify_with(options);
+    // The per-output refinement cap (`MAX_REFINEMENTS` in rectify.rs).
+    const MAX_REFINEMENTS: u64 = 6;
     let refinements = r.rectify.counters[Counter::RectifyRefinements];
-    assert!(refinements <= 3 * r.rectify.outputs_failing as u64 + 3);
+    assert!(refinements <= MAX_REFINEMENTS * r.rectify.outputs_failing as u64 + MAX_REFINEMENTS);
 }
 
 #[test]

@@ -77,7 +77,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Build the sampling domain and the functions g(z).
     let mut m = BddManager::new();
     const T_BASE: u32 = 0;
-    const Y_BASE: u32 = 32;
     const Z_BASE: u32 = 40;
     let domain = SamplingDomain::new(samples, Z_BASE)?;
     println!(
@@ -123,9 +122,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             0,
             &pins,
             &selection,
-            Y_BASE,
-            8,
-            4,
         )?;
         println!("H(t) admits {} point-set(s):", sets.len());
         for set in &sets {
@@ -142,7 +138,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .copied()
         .find(|p| matches!(p, Pin::Gate { .. }))
         .expect("gate pins exist");
-    let cands = candidates_for_pin(&impl_c, &ctx, gating_pin, 8, None)?;
+    let cands = candidates_for_pin(&impl_c, &ctx, gating_pin, None)?;
     println!("\nrewiring candidates for pin {gating_pin} (utility = |differs on E|/|E|):");
     for c in &cands {
         println!(

@@ -83,28 +83,23 @@ fn jobs_do_not_change_the_normalized_trace() {
     }
 }
 
-/// With the BDD manager's automatic GC threshold forced low enough to fire
-/// during the per-output searches, the engine must stay bit-deterministic
-/// across worker counts: GC runs inside each output's own manager against
-/// a deterministic operation sequence, so `bdd.gc.runs`, the prefilter
-/// counters, and the patch itself are independent of `jobs`.
+/// On a case whose default run crosses the BDD manager's automatic GC
+/// threshold (par16 at seed 16, the BENCH_bdd.json profile), the engine
+/// must stay bit-deterministic across worker counts: GC runs inside each
+/// output's own manager against a deterministic operation sequence, so
+/// `bdd.gc.runs`, the prefilter counters, and the patch itself are
+/// independent of `jobs`.
 #[test]
 fn gc_does_not_break_determinism_across_jobs() {
-    let case = build_case(&multi_output_params(11));
+    let case = eco_workload::scaling_case();
     let mut runs = Vec::new();
     for jobs in [1usize, 4] {
         let telemetry = Telemetry::enabled();
-        let session = Session::new(
-            EcoOptions::builder()
-                .seed(11 ^ 0x7E1E)
-                .jobs(jobs)
-                .bdd_gc_threshold(Some(64))
-                .build(),
-        )
-        .with_telemetry(&telemetry);
+        let session = Session::new(EcoOptions::builder().seed(16).jobs(jobs).build())
+            .with_telemetry(&telemetry);
         let result = session
             .run(&case.implementation, &case.spec)
-            .expect("rectification succeeds under forced GC");
+            .expect("rectification succeeds");
         let snap = session.metrics_snapshot();
         let metrics: Vec<(&'static str, u64)> = Counter::ALL
             .iter()
@@ -123,18 +118,15 @@ fn gc_does_not_break_determinism_across_jobs() {
     assert_eq!(s1, s4, "normalized stats must match across worker counts");
     assert_eq!(t1, t4, "normalized trace must match across worker counts");
     assert_eq!(m1, m4, "counters must match across worker counts");
-    // The forced threshold is low enough that the machinery actually ran:
-    // this test guards live GC, not the no-op path.
+    // The default threshold trips on this case, so the machinery actually
+    // ran: this test guards live GC, not the no-op path.
     let counter = |name: &str| {
         m1.iter()
             .find(|(n, _)| *n == name)
             .map(|&(_, v)| v)
             .unwrap_or_else(|| panic!("counter {name} missing from snapshot"))
     };
-    assert!(
-        counter("bdd.gc.runs") >= 1,
-        "forced GC threshold never fired"
-    );
+    assert!(counter("bdd.gc.runs") >= 1, "GC threshold never fired");
     // Prefilter accounting: every examined candidate is screened or passed,
     // and only passed candidates may consume validation slots.
     assert!(

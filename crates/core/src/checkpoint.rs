@@ -37,7 +37,7 @@ use eco_netlist::Circuit;
 use crate::budget::Budget;
 use crate::memo::{self, options_fingerprint, Reader};
 use crate::options::EcoOptions;
-use crate::validate::CandidateRewire;
+use crate::rectify::SearchVerdict;
 
 /// Record kind under which checkpoint slots are stored (disjoint from the
 /// cache's `KIND_RUN`/`KIND_OUTPUT` namespaces even if the two stores ever
@@ -49,25 +49,12 @@ const CHECKPOINT_VERSION: u8 = 1;
 /// Folded into the run key; bump when resume *semantics* change.
 const CHECKPOINT_KEY_VERSION: u64 = 1;
 
-/// A clean per-output outcome, as persisted and resumed.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum CheckpointVerdict {
-    /// The output pair proved equivalent.
-    Equivalent,
-    /// A fully validated rewiring proposal (raw net indices — the resumed
-    /// run rectifies byte-identical circuits).
-    Proposal(Vec<CandidateRewire>),
-    /// The search exhausted its options cleanly (no degradation) and chose
-    /// the guaranteed output-rewire fallback.
-    CleanFallback,
-}
-
-/// One resumed slot: the verdict plus the refinement counterexamples the
-/// original search accumulated (carried forward so the cache write-back of
-/// a resumed run matches the uninterrupted run's).
+/// One resumed slot: the clean verdict plus the refinement
+/// counterexamples the original search accumulated (carried forward so the
+/// cache write-back of a resumed run matches the uninterrupted run's).
 #[derive(Debug, Clone)]
 pub(crate) struct CheckpointRecord {
-    pub verdict: CheckpointVerdict,
+    pub verdict: SearchVerdict,
     pub refined: Vec<Vec<bool>>,
 }
 
@@ -128,12 +115,17 @@ impl CheckpointSession {
         store.get(key, KIND_CHECKPOINT).and_then(decode_record)
     }
 
-    /// Persists one clean verdict and commits it durably, immediately:
-    /// after this returns `true`, a kill at any later instant leaves the
-    /// record resumable. Failures (after bounded retries) are swallowed —
-    /// a lost checkpoint costs resume coverage, not correctness.
-    pub fn record(&self, key: Sig128, verdict: &CheckpointVerdict, refined: &[Vec<bool>]) -> bool {
-        let payload = encode_record(verdict, refined);
+    /// Persists one verdict, if it is clean, and commits it durably,
+    /// immediately: after this returns `true`, a kill at any later instant
+    /// leaves the record resumable. A degraded or aborted verdict is not
+    /// persisted (`false`): resume searches that output again rather than
+    /// resuming it into a worse-than-necessary patch. Failures (after
+    /// bounded retries) are swallowed — a lost checkpoint costs resume
+    /// coverage, not correctness.
+    pub fn record(&self, key: Sig128, verdict: &SearchVerdict, refined: &[Vec<bool>]) -> bool {
+        let Some(payload) = encode_record(verdict, refined) else {
+            return false;
+        };
         let mut store = self.store.lock().unwrap_or_else(PoisonError::into_inner);
         if store.get(key, KIND_CHECKPOINT) == Some(payload.as_slice()) {
             return true;
@@ -164,26 +156,21 @@ impl CheckpointSession {
     }
 }
 
-fn encode_record(verdict: &CheckpointVerdict, refined: &[Vec<bool>]) -> Vec<u8> {
+/// Encodes a clean verdict (raw net indices — the resumed run rectifies
+/// byte-identical circuits); `None` for a verdict that is not clean.
+fn encode_record(verdict: &SearchVerdict, refined: &[Vec<bool>]) -> Option<Vec<u8>> {
     let mut buf = vec![CHECKPOINT_VERSION];
     match verdict {
-        CheckpointVerdict::Equivalent => buf.push(0),
-        CheckpointVerdict::Proposal(rewires) => {
+        SearchVerdict::Equivalent => buf.push(0),
+        SearchVerdict::Proposal { rewires, cut: None } => {
             buf.push(1);
-            memo::put_u32(&mut buf, rewires.len() as u32);
-            for r in rewires {
-                // Raw-index encoding (walk: None) is infallible.
-                let _ = memo::encode_rewire(&mut buf, r, None);
-            }
+            memo::put_group(&mut buf, rewires, None)?;
         }
-        CheckpointVerdict::CleanFallback => buf.push(2),
+        SearchVerdict::Fallback { reason: None } => buf.push(2),
+        _ => return None,
     }
-    memo::put_u32(&mut buf, refined.len() as u32);
-    for m in refined {
-        memo::put_u32(&mut buf, m.len() as u32);
-        buf.extend(m.iter().map(|&b| u8::from(b)));
-    }
-    buf
+    memo::put_minterms(&mut buf, refined);
+    Some(buf)
 }
 
 fn decode_record(payload: &[u8]) -> Option<CheckpointRecord> {
@@ -192,39 +179,24 @@ fn decode_record(payload: &[u8]) -> Option<CheckpointRecord> {
         return None;
     }
     let verdict = match r.u8()? {
-        0 => CheckpointVerdict::Equivalent,
-        1 => {
-            let len = r.len()?;
-            let mut rewires = Vec::with_capacity(len as usize);
-            for _ in 0..len {
-                rewires.push(memo::decode_rewire(&mut r, None)?);
-            }
-            CheckpointVerdict::Proposal(rewires)
-        }
-        2 => CheckpointVerdict::CleanFallback,
+        0 => SearchVerdict::Equivalent,
+        1 => SearchVerdict::Proposal {
+            rewires: r.group(None)?,
+            cut: None,
+        },
+        2 => SearchVerdict::Fallback { reason: None },
         _ => return None,
     };
-    let num = r.len()?;
-    let mut refined = Vec::with_capacity(num as usize);
-    for _ in 0..num {
-        let len = r.len()?;
-        let mut m = Vec::with_capacity(len as usize);
-        for _ in 0..len {
-            m.push(match r.u8()? {
-                0 => false,
-                1 => true,
-                _ => return None,
-            });
-        }
-        refined.push(m);
-    }
+    let refined = r.minterms()?;
     r.done().then_some(CheckpointRecord { verdict, refined })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::budget::DegradeReason;
     use crate::rewire_nets::RewireCandidate;
+    use crate::validate::CandidateRewire;
     use eco_netlist::{GateKind, NetId, Pin};
 
     fn tiny() -> Circuit {
@@ -245,8 +217,8 @@ mod tests {
         }
     }
 
-    fn proposal() -> CheckpointVerdict {
-        CheckpointVerdict::Proposal(vec![CandidateRewire {
+    fn rewires() -> Vec<CandidateRewire> {
+        vec![CandidateRewire {
             pin: Pin::output(0),
             candidate: RewireCandidate {
                 net: NetId::from_index(1),
@@ -254,18 +226,25 @@ mod tests {
                 utility: 1.0,
                 arrival: 0.0,
             },
-        }])
+        }]
+    }
+
+    fn proposal() -> SearchVerdict {
+        SearchVerdict::Proposal {
+            rewires: rewires(),
+            cut: None,
+        }
     }
 
     #[test]
     fn record_roundtrips_and_rejects_damage() {
+        let refined = vec![vec![true, false], vec![false, true]];
         for verdict in [
-            CheckpointVerdict::Equivalent,
+            SearchVerdict::Equivalent,
             proposal(),
-            CheckpointVerdict::CleanFallback,
+            SearchVerdict::Fallback { reason: None },
         ] {
-            let refined = vec![vec![true, false], vec![false, true]];
-            let payload = encode_record(&verdict, &refined);
+            let payload = encode_record(&verdict, &refined).unwrap();
             let decoded = decode_record(&payload).unwrap();
             assert_eq!(decoded.verdict, verdict);
             assert_eq!(decoded.refined, refined);
@@ -275,6 +254,17 @@ mod tests {
             let mut wrong = payload.clone();
             wrong[0] = CHECKPOINT_VERSION + 1;
             assert!(decode_record(&wrong).is_none());
+        }
+        // Degraded verdicts are not persisted.
+        let cut = DegradeReason::DeadlineExceeded;
+        for verdict in [
+            SearchVerdict::Proposal {
+                rewires: rewires(),
+                cut: Some(cut.clone()),
+            },
+            SearchVerdict::Fallback { reason: Some(cut) },
+        ] {
+            assert!(encode_record(&verdict, &refined).is_none());
         }
     }
 

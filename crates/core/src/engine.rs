@@ -5,7 +5,7 @@
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use eco_netlist::{Circuit, NetId};
+use eco_netlist::{Circuit, NetId, NetlistError};
 use eco_telemetry::{ArgValue, Counter, Counters, SpanRecord, Telemetry};
 
 use crate::budget::Budget;
@@ -17,9 +17,7 @@ use crate::memo::{CacheSession, RunRecord};
 use crate::options::EcoOptions;
 use crate::patch::{refine_patch_inputs_timed, Patch, PatchStats};
 use crate::progress::ProgressCallback;
-use crate::rectify::{rewire_rectify_with, RectifyStats};
-use crate::schedule::WorkerPool;
-use crate::validate::apply_rewires;
+use crate::rectify::{Rectified, RectifyStats, Run};
 use crate::EcoError;
 
 /// Result of a rectification run.
@@ -101,33 +99,29 @@ fn run_engine(
     // post-normalization circuit — the exact one the fan-out searches —
     // so the run key covers what resume will actually rectify.
     let checkpoint = CheckpointSession::open(options, &patched, spec, budget);
-    let (patch, mut rectify, mut trace, committed) = rewire_rectify_with(
-        &mut patched,
+    let run = Run {
         spec,
+        corr: Correspondence::build(&patched, spec)?,
         options,
         budget,
-        observer,
-        &WorkerPool::new(options.effective_jobs()),
         telemetry,
-        cache.as_mut(),
-        checkpoint.as_ref(),
-    )?;
-    // Patch-input refinement (§5.2 post-processing): reuse existing
-    // implementation logic inside the cloned patch. Under level-driven
-    // selection the merge is timing-aware. It is a pure optimisation,
-    // so a spent budget skips it and the run returns promptly.
+        observer,
+        cache: cache.as_mut(),
+        checkpoint: checkpoint.as_ref(),
+    };
+    let Rectified {
+        patch,
+        stats: mut rectify,
+        mut trace,
+        committed,
+    } = run.rectify(&mut patched)?;
+    // A pure optimisation, so a spent budget skips it and the run returns
+    // promptly.
     if !budget.is_exhausted() {
         let mut tb = telemetry.buffer(0);
         let span = tb.start();
         budget.fault_span(SpanPoint::RefinePatch)?;
-        let model = eco_timing::DelayModel::default();
-        refine_patch_inputs_timed(
-            &mut patched,
-            &patch,
-            options.validation_budget,
-            options.seed ^ 0x9e3779b97f4a7c15,
-            options.level_driven.then_some(&model),
-        )?;
+        refine_patch(&mut patched, &patch, options)?;
         let rewires = patch.rewires().len() as u64;
         tb.end_with(span, "refine_patch", "rectify", || {
             vec![("rewires", ArgValue::U64(rewires))]
@@ -156,6 +150,25 @@ fn run_engine(
     })
 }
 
+/// Patch-input refinement (§5.2 post-processing): reuses existing
+/// implementation logic inside the cloned patch, timing-aware under
+/// level-driven selection. Seeded from the run seed, so a cache replay
+/// reproduces the cold run's result.
+fn refine_patch(
+    patched: &mut Circuit,
+    patch: &Patch,
+    options: &EcoOptions,
+) -> Result<usize, NetlistError> {
+    let model = eco_timing::DelayModel::default();
+    refine_patch_inputs_timed(
+        patched,
+        patch,
+        options.validation_budget,
+        options.seed ^ 0x9e3779b97f4a7c15,
+        options.level_driven.then_some(&model),
+    )
+}
+
 /// Adds the cache store's own counters (misses and I/O health) to
 /// `counters`.
 fn count_cache(counters: &mut Counters, session: &CacheSession) {
@@ -169,7 +182,7 @@ fn count_cache(counters: &mut Counters, session: &CacheSession) {
 /// the committed rewire groups in order, reruns the deterministic
 /// post-processing, and accepts only when a full equivalence check
 /// passes. By construction this replay is byte-identical to the cold
-/// run that recorded it (`apply_rewires` is the merge phase's only
+/// run that recorded it ([`Patch::apply`] is the merge phase's only
 /// circuit mutation and the post-processing is seeded). Returns `None`
 /// on any mismatch — apply error, damaged verification, budget-unknown
 /// verdicts — and the caller falls back to the cold path.
@@ -186,23 +199,13 @@ fn replay_run(
     let mut patch = Patch::new(patched.num_nodes());
     let mut shared_clones: HashMap<NetId, NetId> = HashMap::new();
     for group in &record.groups {
-        let (ops, cloned) = apply_rewires(&mut patched, spec, group, &mut shared_clones).ok()?;
-        patch.record_cloned(cloned);
-        for op in ops {
-            patch.record_rewire(op);
-        }
+        patch
+            .apply(&mut patched, spec, group, &mut shared_clones)
+            .ok()?;
     }
     patched.sweep();
     if !budget.is_exhausted() {
-        let model = eco_timing::DelayModel::default();
-        refine_patch_inputs_timed(
-            &mut patched,
-            &patch,
-            options.validation_budget,
-            options.seed ^ 0x9e3779b97f4a7c15,
-            options.level_driven.then_some(&model),
-        )
-        .ok()?;
+        refine_patch(&mut patched, &patch, options).ok()?;
     }
     patched.sweep();
     let corr = Correspondence::build(&patched, spec).ok()?;

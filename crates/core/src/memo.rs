@@ -99,6 +99,9 @@ pub(crate) struct WarmStart {
 /// lookups cannot perturb jobs-determinism.
 pub(crate) struct OutputEntry {
     key: Sig128,
+    /// The spec cone's walk: resolves the record's walk positions on load
+    /// and encodes them on write-back.
+    walk: ConeWalk,
     pub warm: Option<WarmStart>,
 }
 
@@ -218,7 +221,7 @@ impl CacheSession {
             if warm.is_none() {
                 self.misses += 1;
             }
-            entries.push(OutputEntry { key, warm });
+            entries.push(OutputEntry { key, walk, warm });
         }
         Ok(entries)
     }
@@ -229,18 +232,13 @@ impl CacheSession {
     pub fn record_output(
         &mut self,
         entry: &OutputEntry,
-        spec: &Circuit,
-        spec_root: NetId,
         proposal: Option<&[CandidateRewire]>,
         minterms: &[Vec<bool>],
     ) {
         if proposal.is_none() && minterms.is_empty() {
             return;
         }
-        let Ok(walk) = ConeWalk::build(spec, spec_root) else {
-            return;
-        };
-        let Some(payload) = encode_output_record(proposal, minterms, &walk) else {
+        let Some(payload) = encode_output_record(proposal, minterms, &entry.walk) else {
             return;
         };
         if self.store.get(entry.key, KIND_OUTPUT) == Some(payload.as_slice()) {
@@ -258,7 +256,7 @@ impl CacheSession {
 
 // --- encoding helpers (little-endian throughout) ---
 
-pub(crate) fn put_u32(buf: &mut Vec<u8>, v: u32) {
+fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
@@ -280,19 +278,73 @@ impl<'a> Reader<'a> {
         Some(b)
     }
 
-    pub(crate) fn u32(&mut self) -> Option<u32> {
+    fn u32(&mut self) -> Option<u32> {
         let bytes = self.buf.get(self.pos..self.pos + 4)?;
         self.pos += 4;
         Some(u32::from_le_bytes(bytes.try_into().unwrap()))
     }
 
     /// A length prefix, rejected when implausibly large.
-    pub(crate) fn len(&mut self) -> Option<u32> {
+    fn len(&mut self) -> Option<u32> {
         self.u32().filter(|&n| n <= MAX_DECODE_ITEMS)
     }
 
     pub(crate) fn done(&self) -> bool {
         self.pos == self.buf.len()
+    }
+
+    /// A rewire group written by [`put_group`] with the same `walk`.
+    pub(crate) fn group(&mut self, walk: Option<&ConeWalk>) -> Option<Vec<CandidateRewire>> {
+        let len = self.len()?;
+        let mut group = Vec::with_capacity(len as usize);
+        for _ in 0..len {
+            group.push(decode_rewire(self, walk)?);
+        }
+        Some(group)
+    }
+
+    /// A minterm list written by [`put_minterms`].
+    pub(crate) fn minterms(&mut self) -> Option<Vec<Vec<bool>>> {
+        let num = self.len()?;
+        let mut minterms = Vec::with_capacity(num as usize);
+        for _ in 0..num {
+            let len = self.len()?;
+            let mut m = Vec::with_capacity(len as usize);
+            for _ in 0..len {
+                m.push(match self.u8()? {
+                    0 => false,
+                    1 => true,
+                    _ => return None,
+                });
+            }
+            minterms.push(m);
+        }
+        Some(minterms)
+    }
+}
+
+/// Encodes a rewire group: its length, then each rewire (see
+/// [`encode_rewire`] for what `walk` selects). Raw-index encoding
+/// (`walk: None`) is infallible.
+pub(crate) fn put_group(
+    buf: &mut Vec<u8>,
+    group: &[CandidateRewire],
+    walk: Option<&ConeWalk>,
+) -> Option<()> {
+    put_u32(buf, group.len() as u32);
+    for rewire in group {
+        encode_rewire(buf, rewire, walk)?;
+    }
+    Some(())
+}
+
+/// Encodes a minterm list: its length, then each minterm as a length and
+/// one byte per bit.
+pub(crate) fn put_minterms(buf: &mut Vec<u8>, minterms: &[Vec<bool>]) {
+    put_u32(buf, minterms.len() as u32);
+    for m in minterms {
+        put_u32(buf, m.len() as u32);
+        buf.extend(m.iter().map(|&b| u8::from(b)));
     }
 }
 
@@ -302,11 +354,7 @@ impl<'a> Reader<'a> {
 /// valid across net-id renumberings of structurally identical cones.
 /// Returns `None` when a spec net falls outside the walk (cannot happen for
 /// candidates produced by the search, but guards future callers).
-pub(crate) fn encode_rewire(
-    buf: &mut Vec<u8>,
-    r: &CandidateRewire,
-    walk: Option<&ConeWalk>,
-) -> Option<()> {
+fn encode_rewire(buf: &mut Vec<u8>, r: &CandidateRewire, walk: Option<&ConeWalk>) -> Option<()> {
     match r.pin {
         Pin::Gate { node, pos } => {
             buf.push(0);
@@ -328,10 +376,7 @@ pub(crate) fn encode_rewire(
     Some(())
 }
 
-pub(crate) fn decode_rewire(
-    r: &mut Reader<'_>,
-    walk: Option<&ConeWalk>,
-) -> Option<CandidateRewire> {
+fn decode_rewire(r: &mut Reader<'_>, walk: Option<&ConeWalk>) -> Option<CandidateRewire> {
     let pin = match r.u8()? {
         0 => {
             let node = r.u32()?;
@@ -376,11 +421,7 @@ fn encode_run_record(groups: &[Vec<CandidateRewire>], stats: &RectifyStats) -> V
     put_u32(&mut buf, stats.counters[Counter::RectifyFallbacks] as u32);
     put_u32(&mut buf, groups.len() as u32);
     for group in groups {
-        put_u32(&mut buf, group.len() as u32);
-        for rewire in group {
-            // Raw-index encoding is infallible.
-            let _ = encode_rewire(&mut buf, rewire, None);
-        }
+        let _ = put_group(&mut buf, group, None);
     }
     buf
 }
@@ -397,12 +438,7 @@ fn decode_run_record(payload: &[u8]) -> Option<RunRecord> {
     let num_groups = r.len()?;
     let mut groups = Vec::with_capacity(num_groups as usize);
     for _ in 0..num_groups {
-        let len = r.len()?;
-        let mut group = Vec::with_capacity(len as usize);
-        for _ in 0..len {
-            group.push(decode_rewire(&mut r, None)?);
-        }
-        groups.push(group);
+        groups.push(r.group(None)?);
     }
     r.done().then_some(RunRecord {
         groups,
@@ -422,18 +458,11 @@ fn encode_output_record(
     match proposal {
         Some(group) => {
             buf.push(1);
-            put_u32(&mut buf, group.len() as u32);
-            for rewire in group {
-                encode_rewire(&mut buf, rewire, Some(walk))?;
-            }
+            put_group(&mut buf, group, Some(walk))?;
         }
         None => buf.push(0),
     }
-    put_u32(&mut buf, minterms.len() as u32);
-    for m in minterms {
-        put_u32(&mut buf, m.len() as u32);
-        buf.extend(m.iter().map(|&b| u8::from(b)));
-    }
+    put_minterms(&mut buf, minterms);
     Some(buf)
 }
 
@@ -444,30 +473,10 @@ fn decode_output_record(payload: &[u8], walk: &ConeWalk) -> Option<WarmStart> {
     }
     let proposal = match r.u8()? {
         0 => None,
-        1 => {
-            let len = r.len()?;
-            let mut group = Vec::with_capacity(len as usize);
-            for _ in 0..len {
-                group.push(decode_rewire(&mut r, Some(walk))?);
-            }
-            Some(group)
-        }
+        1 => Some(r.group(Some(walk))?),
         _ => return None,
     };
-    let num_minterms = r.len()?;
-    let mut minterms = Vec::with_capacity(num_minterms as usize);
-    for _ in 0..num_minterms {
-        let len = r.len()?;
-        let mut m = Vec::with_capacity(len as usize);
-        for _ in 0..len {
-            m.push(match r.u8()? {
-                0 => false,
-                1 => true,
-                _ => return None,
-            });
-        }
-        minterms.push(m);
-    }
+    let minterms = r.minterms()?;
     r.done().then_some(WarmStart { proposal, minterms })
 }
 

@@ -8,6 +8,8 @@ use eco_timing::{DelayModel, TimingReport};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use crate::validate::{apply_rewires, CandidateRewire};
+
 /// One rewire `p/s` of paper §3.3: pin `pin` was disconnected from
 /// `old_net` and connected to `new_net`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -89,6 +91,24 @@ impl Patch {
     /// Records nets cloned from the specification.
     pub fn record_cloned(&mut self, nets: impl IntoIterator<Item = NetId>) {
         self.cloned.extend(nets);
+    }
+
+    /// Applies one rewire group with [`apply_rewires`] and records what it
+    /// executed — the one circuit mutation of the merge phase and of a
+    /// cache replay. On error `implementation` may be partially rewired.
+    pub(crate) fn apply(
+        &mut self,
+        implementation: &mut Circuit,
+        spec: &Circuit,
+        group: &[CandidateRewire],
+        shared_clones: &mut HashMap<NetId, NetId>,
+    ) -> Result<(), NetlistError> {
+        let (ops, cloned) = apply_rewires(implementation, spec, group, shared_clones)?;
+        self.record_cloned(cloned);
+        for op in ops {
+            self.record_rewire(op);
+        }
+        Ok(())
     }
 
     /// Whether `net` was added by this patch (cloned or, by index, created

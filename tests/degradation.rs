@@ -7,7 +7,9 @@ use std::time::{Duration, Instant};
 
 use eco_workload::{build_case, CaseParams, RevisionKind};
 use proptest::prelude::*;
-use syseco::{verify_rectification, EcoOptions, Session};
+use syseco::{
+    verify_rectification, Counter, DegradeReason, EcoOptions, OutputAction, RectifyStats, Session,
+};
 
 fn revision_kind() -> impl Strategy<Value = RevisionKind> {
     prop_oneof![
@@ -47,6 +49,45 @@ fn params() -> impl Strategy<Value = CaseParams> {
         )
 }
 
+/// The fallback path's bookkeeping: one `per_output` entry per output,
+/// every degraded output rectified by a fallback or a cut-short rewire, and
+/// the outcome counters agreeing with the degradation list.
+fn assert_fallback_bookkeeping(stats: &RectifyStats) {
+    let mut names = std::collections::HashSet::new();
+    for t in &stats.per_output {
+        assert!(
+            names.insert(t.output.clone()),
+            "duplicate per_output entry for {:?}",
+            t.output
+        );
+    }
+    for d in &stats.degradations {
+        let action = stats
+            .per_output
+            .iter()
+            .find(|t| t.output == d.output)
+            .map(|t| t.action);
+        assert!(
+            matches!(action, Some(OutputAction::Fallback | OutputAction::Rewired)),
+            "degraded output {:?} has action {action:?}",
+            d.output
+        );
+    }
+    assert_eq!(
+        stats.counters[Counter::RectifyDegradations],
+        stats.degradations.len() as u64
+    );
+    let conflicts = stats
+        .degradations
+        .iter()
+        .filter(|d| matches!(d.reason, DegradeReason::MergeConflict))
+        .count();
+    assert_eq!(
+        stats.counters[Counter::RectifyMergeConflicts],
+        conflicts as u64
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -81,10 +122,21 @@ proptest! {
                 d.output
             );
         }
+        assert_fallback_bookkeeping(&result.rectify);
         // Every output the run claims rectified must actually be
         // equivalent: the fallback keeps even a cut-short run complete.
         prop_assert!(verify_rectification(&result.patched, &case.spec).unwrap());
         result.patched.check_well_formed().unwrap();
+
+        // A spent budget sends every failing output down the fallback
+        // path, so its bookkeeping is checked on every case.
+        let mut spent = EcoOptions::with_seed(params.seed ^ 0xD06);
+        spent.timeout = Some(Duration::ZERO);
+        let result = Session::new(spent)
+            .run(&case.implementation, &case.spec)
+            .expect("a spent budget degrades instead of failing");
+        assert_fallback_bookkeeping(&result.rectify);
+        prop_assert!(verify_rectification(&result.patched, &case.spec).unwrap());
     }
 
     #[test]
